@@ -200,16 +200,16 @@ class Datacenter:
 def restore_placement(machine, allocation: Allocation):
     """Rebuild a Placement applying an allocation's recorded assignments.
 
-    ``machine`` is anything exposing ``usage`` (a ``PhysicalMachine`` or
-    a columnar view); used by both substrates' migration rollback.
+    ``machine`` is anything exposing ``shape`` and ``usage`` (a
+    ``PhysicalMachine`` or a columnar view); used by both substrates'
+    migration rollback.  The assignments keep the machine's real unit
+    order; ``new_usage`` is canonical, as for every ``Placement``.
     """
-    from repro.core.permutations import Placement
+    from repro.core.permutations import Placement, apply_assignments
 
-    usage = [list(group) for group in machine.usage]
-    for group_usage, group_assign in zip(usage, allocation.assignments):
-        for idx, chunk in group_assign:
-            group_usage[idx] += chunk
     return Placement(
-        new_usage=tuple(tuple(group) for group in usage),
+        new_usage=machine.shape.canonicalize(
+            apply_assignments(machine.usage, allocation.assignments)
+        ),
         assignments=allocation.assignments,
     )

@@ -448,14 +448,20 @@ class ProfileScorePolicy(PlacementPolicy):
 
         When the cached winning ``placement`` is supplied, its canonical
         unit indices are remapped to the machine's real unit order — no
-        re-enumeration.  The enumeration fallback remains for callers
-        holding only a target usage.
+        re-enumeration.  Columnar machine views expose ``remap``, which
+        serves the remap from their datacenter's transition table.  The
+        enumeration fallback remains for callers holding only a target
+        usage.
         """
         shape = machine.shape
         if placement is not None:
+            remap = getattr(machine, "remap", None)
             return PlacementDecision(
                 pm_id=machine.pm_id,
-                placement=remap_placement(shape, machine.usage, placement),
+                placement=(
+                    remap(placement) if remap is not None
+                    else remap_placement(shape, machine.usage, placement)
+                ),
                 score=score,
             )
         if self.candidate_mode(shape) == "balanced":
@@ -595,7 +601,7 @@ class ProfileScorePolicy(PlacementPolicy):
                 rep = rep.copy()
                 size = size.copy()
                 size[excluded_cid] -= 1
-                members = index._classes[table.keys[excluded_cid]]
+                members = index.class_members(excluded_cid)
                 if size[excluded_cid] > 0 and members[0] == excluded:
                     rep[excluded_cid] = members[1]
         active = size > 0
@@ -637,18 +643,18 @@ class ProfileScorePolicy(PlacementPolicy):
         excluded_cid = -1
         if excluded >= 0:
             excluded_cid = int(index.class_ids[excluded])
-        rep = table.rep
-        size = table.size
+        rep = table.rep.tolist()
+        size = table.size.tolist()
         scores_list = scores.tolist()
         best_score = None
         best_rep = -1
         for cid in range(table.n_classes):
-            class_size = int(size[cid])
-            class_rep = int(rep[cid])
+            class_size = size[cid]
+            class_rep = rep[cid]
             if cid == excluded_cid:
                 class_size -= 1
                 if class_size > 0:
-                    members = index._classes[table.keys[cid]]
+                    members = index.class_members(cid)
                     if members[0] == excluded:
                         class_rep = members[1]
             if class_size <= 0:

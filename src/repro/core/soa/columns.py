@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.machine import cpu_group_index
-from repro.core.profile import MachineShape, Usage
+from repro.core.profile import MachineShape
 from repro.traces.base import ArrayTrace, ConstantTrace, UtilizationTrace
 from repro.util.validation import ValidationError
 
@@ -117,14 +117,6 @@ class ShapeInfo:
         self.cpu_group = cpu_group_index(shape)
         self.cpu_capacities = shape.groups[self.cpu_group].capacities
         self.cpu_capacity = shape.groups[self.cpu_group].total_capacity
-
-    def usage_tuple(self, row: np.ndarray) -> Usage:
-        """Materialize one usage row as the nested-tuple ``Usage`` form."""
-        offsets = self.offsets
-        return tuple(
-            tuple(int(v) for v in row[offsets[g]:offsets[g + 1]])
-            for g in range(len(offsets) - 1)
-        )
 
 
 class _BurstCSR:

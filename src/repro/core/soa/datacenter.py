@@ -5,8 +5,11 @@
 invariants, same mutation methods, same error types and messages, same
 rollback semantics on failed migrations.  The difference is storage —
 all machine state lives in :class:`~repro.core.soa.columns.ShardColumns`
-arrays — and two additional capabilities the simulation and auditor
-discover by duck typing:
+arrays, and each row's usage tuple is an interned
+:class:`~repro.core.soa.transitions.RowState` that placements and
+removals step through the datacenter's transition table — and two
+additional capabilities the simulation and auditor discover by duck
+typing:
 
 * :meth:`monitor_arrays` — one monitor tick's utilization/active/type
   columns for the healthy fleet, reduced shard by shard (the columnar
@@ -24,7 +27,7 @@ datacenter.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,9 +46,18 @@ from repro.core.soa.columns import (
     validate_burst,
 )
 from repro.core.soa.index import SoAIndexedMachines, SoAUsageClassIndex
+from repro.core.soa.transitions import RowState, TransitionTable, shift_usage
 from repro.util.validation import ValidationError, require
 
 __all__ = ["SoAMachineView", "SoADatacenter"]
+
+
+def _records_usage(info: ShapeInfo, allocations: Iterable[Allocation]) -> Usage:
+    """Real-order usage summed from a row's allocation records."""
+    usage = info.shape.empty_usage()
+    for allocation in allocations:
+        usage = shift_usage(usage, allocation.assignments, 1)
+    return usage
 
 
 class SoAMachineView:
@@ -72,20 +84,17 @@ class SoAMachineView:
 
     @property
     def usage(self) -> Usage:
-        """Committed usage, real unit order (snapshot tuple, cached).
+        """Committed usage, real unit order (the row state's tuple)."""
+        return self._dc._rows[self._pos].usage
 
-        Materializing the tuple from the row costs ~7us and the policy
-        reads it several times per decision; the cache entry lives until
-        the row's usage column next mutates.
-        """
-        cached = self._dc._usage_cache[self._pos]
-        if cached is None:
-            shard, row = self._dc._shard_of(self._pos)
-            cached = self._dc._info_of_pos(self._pos).usage_tuple(
-                shard.usage[row]
-            )
-            self._dc._usage_cache[self._pos] = cached
-        return cached
+    @property
+    def row_state(self) -> RowState:
+        """The row's transition-table state (the index reads its class)."""
+        return self._dc._rows[self._pos]
+
+    def remap(self, placement: Placement) -> Placement:
+        """A canonical-order placement remapped onto this row's units."""
+        return self._dc._transitions.remap(self._dc._rows[self._pos], placement)
 
     @property
     def is_used(self) -> bool:
@@ -250,7 +259,12 @@ class SoADatacenter:
         self._views: List[SoAMachineView] = [
             SoAMachineView(self, pos) for pos in range(n)
         ]
-        self._usage_cache: List[Optional[Usage]] = [None] * n
+        self._transitions = TransitionTable(self._infos)
+        empty = [
+            self._transitions.state(info.shape_id, info.shape.empty_usage())
+            for info in self._infos
+        ]
+        self._rows: List[RowState] = [empty[sid] for sid in shape_col.tolist()]
         self._index = SoAUsageClassIndex(self._views)
         self._view = SoAIndexedMachines(self._index)
 
@@ -272,13 +286,17 @@ class SoADatacenter:
         return shard, pos - shard.base
 
     def _info_of_pos(self, pos: int) -> ShapeInfo:
-        shard, row = self._shard_of(pos)
-        return self._infos[shard.shape_id[row]]
+        return self._infos[self._rows[pos].shape_id]
 
     @property
     def shards(self) -> List[ShardColumns]:
         """The shard columns (read-only use: benchmarks, the auditor)."""
         return list(self._shards)
+
+    @property
+    def transitions(self) -> TransitionTable:
+        """The row-state transition table (tests and audits read it)."""
+        return self._transitions
 
     @property
     def trace_columns(self) -> TraceColumns:
@@ -358,13 +376,13 @@ class SoADatacenter:
             raise ValidationError(
                 f"VM#{vm.vm_id} is already placed on PM#{pm_id}"
             )
-        info = self._infos[shard.shape_id[row]]
-        usage_row = shard.usage[row]
+        state = self._rows[pos]
+        info = self._infos[state.shape_id]
+        assignments = placement.assignments
         # Validate before mutating so failures leave the row unchanged.
-        for g, (group, group_assign) in enumerate(
-            zip(info.shape.groups, placement.assignments)
+        for group, group_usage, group_assign in zip(
+            info.shape.groups, state.usage, assignments
         ):
-            offset = info.offsets[g]
             taken = set()
             for idx, chunk in group_assign:
                 if idx in taken and group.anti_collocation:
@@ -373,20 +391,16 @@ class SoADatacenter:
                         f"{idx} of group {group.name!r}"
                     )
                 taken.add(idx)
-                if usage_row[offset + idx] + chunk > group.capacities[idx]:
+                if group_usage[idx] + chunk > group.capacities[idx]:
                     raise ValidationError(
                         f"capacity exceeded on unit {idx} of group "
-                        f"{group.name!r}: {int(usage_row[offset + idx])}+"
+                        f"{group.name!r}: {group_usage[idx]}+"
                         f"{chunk} > {group.capacities[idx]}"
                     )
-        for g, group_assign in enumerate(placement.assignments):
-            offset = info.offsets[g]
-            for idx, chunk in group_assign:
-                usage_row[offset + idx] += chunk
-        self._usage_cache[pos] = None
+        state = self._rows[pos] = self._transitions.step(state, assignments)
+        shard.usage[row, : info.n_dims] = state.flat
         allocation = Allocation(
-            vm=vm, pm_id=pm_id, assignments=placement.assignments,
-            placed_at=time_s,
+            vm=vm, pm_id=pm_id, assignments=assignments, placed_at=time_s,
         )
         row_allocs[vm.vm_id] = allocation
         shard.alloc_count[row] += 1
@@ -411,18 +425,16 @@ class SoADatacenter:
         allocation = shard.allocs[row].get(vm_id)
         if allocation is None:
             raise KeyError(f"PM#{pm_id} does not host VM#{vm_id}")
-        info = self._infos[shard.shape_id[row]]
-        usage_row = shard.usage[row]
-        for g, group_assign in enumerate(allocation.assignments):
-            offset = info.offsets[g]
-            for idx, chunk in group_assign:
-                usage_row[offset + idx] -= chunk
-                if usage_row[offset + idx] < 0:
-                    raise ValidationError(
-                        f"negative usage on PM#{pm_id} after removing "
-                        f"VM#{vm_id}; allocation records are corrupt"
-                    )
-        self._usage_cache[pos] = None
+        state = self._transitions.step(
+            self._rows[pos], allocation.assignments, -1
+        )
+        if state.negative:
+            raise ValidationError(
+                f"negative usage on PM#{pm_id} after removing "
+                f"VM#{vm_id}; allocation records are corrupt"
+            )
+        self._rows[pos] = state
+        shard.usage[row, : self._infos[state.shape_id].n_dims] = state.flat
         del shard.allocs[row][vm_id]
         shard.alloc_count[row] -= 1
         for csr in shard.csr.values():
@@ -432,15 +444,16 @@ class SoADatacenter:
     def _refresh(self, pm_id: int) -> None:
         """Index refresh plus the canonical-usage column sync."""
         self._index.refresh(pm_id)
-        pos = self._pos_of[pm_id]
+        self._sync_canon(self._pos_of[pm_id])
+
+    def _sync_canon(self, pos: int) -> None:
+        """Write a row's canonical column from its state (zeros if failed)."""
         shard, row = self._shard_of(pos)
-        canonical = self._index.canonical_usage(pm_id)
-        if canonical is None:
+        if shard.failed[row]:
             shard.canon[row, :] = 0
         else:
-            info = self._infos[shard.shape_id[row]]
-            flat = [u for group in canonical for u in group]
-            shard.canon[row, : len(flat)] = flat
+            canon_flat = self._rows[pos].canon_flat
+            shard.canon[row, : canon_flat.size] = canon_flat
 
     # ------------------------------------------------------------------
     # Mutation (Datacenter API)
@@ -566,34 +579,26 @@ class SoADatacenter:
         """Re-derive every column from the allocation records.
 
         The bulk-reload seam (checkpoint restore, defragmentation):
-        usage/canonical/count columns are recomputed, CSRs dropped (they
-        rebuild lazily on the next tick), and the usage-class index is
-        rebuilt — which re-interns class ids and bumps the index epoch
-        so memoized per-id consumers invalidate.
+        usage/canonical/count columns and row states are recomputed,
+        the transition table and CSRs dropped (both refill lazily), and
+        the usage-class index is rebuilt — which re-interns class ids and
+        bumps the index epoch so memoized per-id consumers invalidate.
         """
-        self._usage_cache = [None] * len(self._views)
+        self._transitions.clear()
         for shard in self._shards:
             shard.usage[:] = 0
             shard.csr.clear()
             for row in range(shard.n):
                 shard.alloc_count[row] = len(shard.allocs[row])
                 info = self._infos[shard.shape_id[row]]
-                usage_row = shard.usage[row]
-                for allocation in shard.allocs[row].values():
-                    for g, group_assign in enumerate(allocation.assignments):
-                        offset = info.offsets[g]
-                        for idx, chunk in group_assign:
-                            usage_row[offset + idx] += chunk
+                state = self._transitions.state(
+                    info.shape_id, _records_usage(info, shard.allocs[row].values())
+                )
+                self._rows[shard.base + row] = state
+                shard.usage[row, : info.n_dims] = state.flat
         self._index.rebuild()
-        for pm_id in self._pm_ids:
-            pos = self._pos_of[pm_id]
-            shard, row = self._shard_of(pos)
-            canonical = self._index.canonical_usage(pm_id)
-            if canonical is None:
-                shard.canon[row, :] = 0
-            else:
-                flat = [u for group in canonical for u in group]
-                shard.canon[row, : len(flat)] = flat
+        for pos in range(len(self._rows)):
+            self._sync_canon(pos)
 
     def check_columns(self) -> List[str]:
         """Re-derive expected column state from the allocation records.
@@ -620,26 +625,26 @@ class SoADatacenter:
                         f"{int(shard.alloc_count[row])} != "
                         f"{len(row_allocs)} records"
                     )
-                expected = np.zeros(shard.usage.shape[1], dtype=np.int64)
-                for vm_id, allocation in row_allocs.items():
+                for vm_id in row_allocs:
                     seen_vms[vm_id] = pm_id
-                    for g, group_assign in enumerate(allocation.assignments):
-                        offset = info.offsets[g]
-                        for idx, chunk in group_assign:
-                            expected[offset + idx] += chunk
+                usage = _records_usage(info, row_allocs.values())
+                expected = np.zeros(shard.usage.shape[1], dtype=np.int64)
+                expected[: info.n_dims] = [u for g in usage for u in g]
                 if not np.array_equal(expected, shard.usage[row]):
                     problems.append(
                         f"usage column of PM#{pm_id} diverged from its "
                         f"allocation records: {shard.usage[row].tolist()} "
                         f"!= {expected.tolist()}"
                     )
-                view = self._views[pos]
-                if shard.failed[row]:
-                    expected_canon = np.zeros_like(expected)
-                else:
-                    canonical = info.shape.canonicalize(view.usage)
-                    flat = [u for group in canonical for u in group]
-                    expected_canon = np.zeros_like(expected)
+                state = self._rows[pos]
+                if state.shape_id != info.shape_id or state.usage != usage:
+                    problems.append(
+                        f"row state of PM#{pm_id} diverged from its "
+                        f"allocation records: {state.usage!r} != {usage!r}"
+                    )
+                expected_canon = np.zeros_like(expected)
+                if not shard.failed[row]:
+                    flat = [u for g in info.shape.canonicalize(usage) for u in g]
                     expected_canon[: len(flat)] = flat
                 if not np.array_equal(expected_canon, shard.canon[row]):
                     problems.append(

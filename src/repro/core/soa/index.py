@@ -15,9 +15,10 @@
 * an ``epoch``-aware :meth:`rebuild` (inherited seam) so bulk array
   rebuilds invalidate memoized consumers (see
   ``ProfileScorePolicy._observe_index``);
-* a hot-path :meth:`refresh` override that skips the healthy/used list
-  churn when a mutation does not change the machine's broad state — the
-  dominant index cost at 100k PMs.
+* a hot-path :meth:`refresh` that reads the class id bound to the
+  row's transition-table state (:mod:`repro.core.soa.transitions`)
+  and moves the row between per-id member lists, touching the
+  healthy/used lists only when the machine's broad state changes.
 
 Class ids are *content-addressed* (the key is the class content, not its
 membership), so a score memoized against an id stays valid while the
@@ -35,6 +36,7 @@ import numpy as np
 from repro.core.profile import MachineShape, Usage
 from repro.core.usage_index import (
     _FAILED,
+    _NEW,
     _UNUSED,
     _USED,
     IndexedMachines,
@@ -91,13 +93,17 @@ class SoAClassTable:
     def update(self, key: ClassKey, members: Optional[Sequence[int]]) -> int:
         """Sync one key's rep/size from its (sorted) member positions."""
         class_id = self._intern(key)
+        self.sync(class_id, members)
+        return class_id
+
+    def sync(self, class_id: int, members: Optional[Sequence[int]]) -> None:
+        """Sync an interned id's rep/size from its sorted member positions."""
         if members:
             self._rep[class_id] = members[0]
             self._size[class_id] = len(members)
         else:
             self._rep[class_id] = _NO_REP
             self._size[class_id] = 0
-        return class_id
 
     @property
     def rep(self) -> np.ndarray:
@@ -111,7 +117,16 @@ class SoAClassTable:
 
 
 class SoAUsageClassIndex(UsageClassIndex):
-    """Usage-class index whose class structure is mirrored into columns."""
+    """Usage-class index whose class structure is mirrored into columns.
+
+    Machines are the datacenter's row views: besides the base machine
+    surface they expose ``row_state``, the row's
+    :class:`~repro.core.soa.transitions.RowState`, which carries the
+    canonical usage and the class id bound under this index's table.
+    Live classes are kept per class id; the content-keyed ``_classes``
+    mapping of the base index is touched only when a class is created or
+    empties.
+    """
 
     def __init__(self, machines: Sequence[Any]) -> None:
         # The refresh override runs during the base constructor, so the
@@ -120,69 +135,110 @@ class SoAUsageClassIndex(UsageClassIndex):
         self.class_ids = np.full(len(machines), -1, dtype=np.int64)
         super().__init__(machines)
 
+    def _reset(self) -> None:
+        n = len(self._machines)
+        self._state = [_NEW] * n
+        self._canon = [None] * n
+        self._healthy = []
+        self._used = []
+        self._unused = []
+        #: Live class id -> its sorted member positions; ``_classes``
+        #: files the same lists under their content keys.
+        self._members: Dict[int, List[int]] = {}
+        self._classes = {}
+        self._unused_by_shape = {}
+        for machine in self._machines:
+            self.refresh(machine.pm_id)
+
+    def class_members(self, class_id: int) -> List[int]:
+        """Sorted member positions of a live class (empty when none)."""
+        return self._members.get(class_id, [])
+
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def refresh(self, pm_id: int) -> None:
-        """Base :meth:`refresh` semantics plus table/column sync.
+        """Re-derive one machine's class membership from its row state.
 
-        The state-preserving fast paths (used→used, unused→unused) leave
-        the healthy/used position lists untouched: at 100k PMs those
-        lists are ~800 KB each and the base path's unconditional
-        leave-and-reinsert memmoves both on every placement.
+        The class id comes bound to the row state, so a used-to-used
+        move is two sorted-list edits between member lists: no usage is
+        canonicalized and no class key hashed.  Only a state first seen
+        under this index's table interns its ``(shape, canonical)`` key.
+        The healthy/used/unused position lists change only when the
+        machine's broad state does (at 100k PMs those lists are ~800 KB
+        each; re-inserting on every placement would memmove them).
         """
         pos = self._pos.get(pm_id)
         if pos is None:
             raise KeyError(f"no PM with id {pm_id} in the usage index")
         machine = self._machines[pos]
         old_state = self._state[pos]
-        old_key: Optional[ClassKey] = None
-        if old_state == _USED:
-            old_key = (machine.shape, self._canon[pos])
-
         if machine.is_failed:
             new_state = _FAILED
         elif machine.is_used:
             new_state = _USED
         else:
             new_state = _UNUSED
+        row = machine.row_state
+        if old_state != new_state:
+            self._move(pos, machine.shape, old_state, new_state)
+        self._canon[pos] = None if new_state == _FAILED else row.canonical
+        old_cid = int(self.class_ids[pos])
+        new_cid = -1
+        if new_state == _USED:
+            new_cid = row.class_id(self.table)
+            if new_cid < 0:
+                new_cid = self.table._intern((machine.shape, row.canonical))
+                row.bind_class(self.table, new_cid)
+        if old_cid == new_cid:
+            return
+        if old_cid >= 0:
+            members = self._members[old_cid]
+            _discard_sorted(members, pos)
+            if not members:
+                del self._members[old_cid]
+                del self._classes[self.table.keys[old_cid]]
+            self.table.sync(old_cid, members)
+        if new_cid >= 0:
+            members = self._members.get(new_cid)
+            if members is None:
+                members = self._members[new_cid] = [pos]
+                self._classes[self.table.keys[new_cid]] = members
+            else:
+                insort(members, pos)
+            self.table.sync(new_cid, members)
+        self.class_ids[pos] = new_cid
 
-        if old_state == new_state == _USED:
-            canonical = machine.shape.canonicalize(machine.usage)
-            new_key: Optional[ClassKey] = (machine.shape, canonical)
-            if new_key != old_key:
-                members = self._classes[old_key]
-                _discard_sorted(members, pos)
-                if not members:
-                    del self._classes[old_key]
-                self._canon[pos] = canonical
-                new_members = self._classes.get(new_key)
-                if new_members is None:
-                    self._classes[new_key] = [pos]
-                else:
-                    insort(new_members, pos)
-        elif old_state == new_state == _UNUSED:
-            new_key = None
-        else:
-            super().refresh(pm_id)
-            new_key = None
-            if self._state[pos] == _USED:
-                new_key = (machine.shape, self._canon[pos])
-
-        if old_key is not None and old_key != new_key:
-            self.table.update(old_key, self._classes.get(old_key))  # prv: disable=PRV005 -- SoAClassTable is this index's own maintained state, not a memoized score table
-        if new_key is not None:
-            self.class_ids[pos] = self.table.update(  # prv: disable=PRV005 -- SoAClassTable is this index's own maintained state, not a memoized score table
-                new_key, self._classes[new_key]
-            )
-        else:
-            self.class_ids[pos] = -1
+    def _move(
+        self, pos: int, shape: MachineShape, old_state: str, new_state: str
+    ) -> None:
+        """Move a position between the broad-state lists."""
+        was_healthy = old_state in (_USED, _UNUSED)
+        if was_healthy and new_state == _FAILED:
+            _discard_sorted(self._healthy, pos)
+        elif not was_healthy and new_state != _FAILED:
+            insort(self._healthy, pos)
+        if old_state == _USED:
+            _discard_sorted(self._used, pos)
+        elif old_state == _UNUSED:
+            _discard_sorted(self._unused, pos)
+            members = self._unused_by_shape[shape]
+            _discard_sorted(members, pos)
+            if not members:
+                del self._unused_by_shape[shape]
+        if new_state == _USED:
+            insort(self._used, pos)
+        elif new_state == _UNUSED:
+            insort(self._unused, pos)
+            insort(self._unused_by_shape.setdefault(shape, []), pos)
+        self._state[pos] = new_state
 
     def rebuild(self) -> None:
         """Re-derive everything from scratch; re-interns every class id.
 
         Ids from before the rebuild are meaningless afterwards — the
-        inherited epoch bump tells memoized consumers to drop them.
+        inherited epoch bump tells memoized consumers to drop them, and
+        the fresh class table unbinds every row state's cached id.
         """
         self.table = SoAClassTable()
         self.class_ids = np.full(len(self._machines), -1, dtype=np.int64)
@@ -194,15 +250,13 @@ class SoAUsageClassIndex(UsageClassIndex):
     def check_consistency(self) -> List[str]:
         """Base check plus table-vs-membership and id-column checks."""
         problems = super().check_consistency()
-        active_ids = set()
-        for key, members in self._classes.items():
-            class_id = self.table.lookup(key)
-            if class_id < 0:
+        for class_id, members in self._members.items():
+            key = self.table.keys[class_id]
+            if self.table.lookup(key) != class_id:
                 problems.append(
-                    f"class table missing an id for live class {key!r}"
+                    f"class table files live class {key!r} under "
+                    f"{self.table.lookup(key)}, not {class_id}"
                 )
-                continue
-            active_ids.add(class_id)
             if int(self.table.rep[class_id]) != members[0] or int(
                 self.table.size[class_id]
             ) != len(members):
@@ -213,7 +267,7 @@ class SoAUsageClassIndex(UsageClassIndex):
                     f"({members[0]}, {len(members)})"
                 )
         for class_id in range(self.table.n_classes):
-            if class_id not in active_ids and self.table.size[class_id] != 0:
+            if class_id not in self._members and self.table.size[class_id] != 0:
                 problems.append(
                     f"class table row {class_id} claims "
                     f"{int(self.table.size[class_id])} members but the key "

@@ -2,11 +2,18 @@
 
 import pytest
 
+import repro.cluster.datacenter as object_datacenter
+import repro.core.soa.datacenter as soa_datacenter
 from repro.cluster.datacenter import Datacenter
 from repro.cluster.machine import PhysicalMachine
 from repro.cluster.vm import VirtualMachine
-from repro.core.permutations import balanced_placement
+from repro.core.permutations import (
+    Placement,
+    apply_assignments,
+    balanced_placement,
+)
 from repro.core.policy import PlacementDecision
+from repro.core.soa import SoADatacenter
 from repro.util.validation import ValidationError
 
 
@@ -98,3 +105,59 @@ class TestMigrate:
         datacenter.apply(vm, decision_for(datacenter, 0, vm2))
         datacenter.migrate(1, decision_for(datacenter, 0, vm2))
         assert datacenter.locate(1) == 0
+
+
+class TestRollbackPlacement:
+    @pytest.mark.parametrize("substrate", ["object", "soa"])
+    def test_rollback_onto_out_of_order_pm_is_canonical(
+        self, substrate, toy_shape, vm1, vm2, monkeypatch
+    ):
+        # Units 0 and 1 loaded, 2 and 3 idle: the PM's real unit order
+        # (2, 1, 0, 0) is not its canonical order (0, 0, 1, 2).
+        module = object_datacenter if substrate == "object" else soa_datacenter
+        machines = [PhysicalMachine(i, toy_shape) for i in range(2)]
+        dc = (
+            Datacenter(machines) if substrate == "object"
+            else SoADatacenter.from_machines(machines)
+        )
+        for vm_id, vm_type, assignment in (
+            (1, vm2, ((0, 1), (1, 1))),
+            (2, vm1, ((0, 1),)),
+        ):
+            usage = dc.machine(0).usage
+            placement = Placement(
+                new_usage=toy_shape.canonicalize(
+                    apply_assignments(usage, (assignment,))
+                ),
+                assignments=(assignment,),
+            )
+            dc.apply(
+                VirtualMachine(vm_id, vm_type), PlacementDecision(0, placement)
+            )
+        assert dc.machine(0).usage == ((2, 1, 0, 0),)
+
+        restored = []
+        restore = object_datacenter.restore_placement
+
+        def spy(machine, allocation):
+            placement = restore(machine, allocation)
+            restored.append((machine.usage, placement))
+            return placement
+
+        monkeypatch.setattr(module, "restore_placement", spy)
+        bad = PlacementDecision(
+            pm_id=1,
+            placement=Placement(new_usage=((0, 0, 1, 5),), assignments=(((3, 5),),)),
+        )
+        with pytest.raises(ValidationError):
+            dc.migrate(2, bad)  # 5 units on a 4-unit core: rolled back
+        assert dc.locate(2) == 0
+        assert dc.machine(0).usage == ((2, 1, 0, 0),)
+        (source_usage, placement), = restored
+        assert source_usage == ((1, 1, 0, 0),)
+        assert placement.assignments == (((0, 1),),)
+        assert placement.new_usage == ((0, 0, 1, 2),)
+        assert placement.new_usage == toy_shape.canonicalize(
+            apply_assignments(source_usage, placement.assignments)
+        )
+        assert dc.usage_index.check_consistency() == []

@@ -2,9 +2,9 @@
 
 The end-to-end identity of the SoA substrate is covered in
 ``tests/cluster/test_soa_identity.py``; here the individual mechanisms
-are pinned down — class-id interning, the per-row usage-tuple cache,
-rebuild/epoch invalidation of the policy memo (the LRU-vs-bulk-rebuild
-contract), and the I2 column audit.
+are pinned down — class-id interning, the per-row usage states and
+their transition table, rebuild/epoch invalidation of the policy memo
+(the LRU-vs-bulk-rebuild contract), and the I2 column audit.
 """
 
 import pytest
@@ -13,7 +13,11 @@ from repro.analysis.invariants import audit_datacenter
 from repro.cluster.vm import VirtualMachine
 from repro.core.placement import PageRankVMPolicy
 from repro.core.soa import SoADatacenter
+from repro.core.permutations import enumerate_placements, remap_placement
+from repro.core.soa.columns import ShapeInfo
 from repro.core.soa.index import SoAClassTable
+from repro.core.soa import transitions
+from repro.core.soa.transitions import TransitionTable
 from repro.traces.base import ConstantTrace
 
 
@@ -100,6 +104,70 @@ class TestUsageTupleCache:
         assert machine.usage == before  # value identical, freshly derived
 
 
+class TestTransitionTable:
+    def test_step_is_exact_and_shared(self, toy_shape):
+        table = TransitionTable([ShapeInfo(toy_shape, 0)])
+        empty = table.state(0, toy_shape.empty_usage())
+        move = (((1, 1), (3, 2)),)
+        after = table.step(empty, move)
+        assert after.usage == ((0, 1, 0, 2),)
+        assert after.canonical == ((0, 0, 1, 2),)
+        assert list(after.flat) == [0, 1, 0, 2]
+        assert list(after.canon_flat) == [0, 0, 1, 2]
+        assert table.step(empty, move) is after  # a hit: same state object
+        assert table.step(after, move, -1) is empty  # interned by content
+        assert len(table) == 2
+        assert table.check() == []
+
+    def test_removal_below_zero_is_flagged(self, toy_shape):
+        table = TransitionTable([ShapeInfo(toy_shape, 0)])
+        empty = table.state(0, toy_shape.empty_usage())
+        assert table.step(empty, (((0, 1),),), -1).negative
+        assert not empty.negative
+
+    def test_remap_matches_remap_placement(self, toy_shape, vm2):
+        table = TransitionTable([ShapeInfo(toy_shape, 0)])
+        state = table.state(0, ((3, 0, 1, 0),))
+        for placement in enumerate_placements(toy_shape, state.canonical, vm2):
+            expected = remap_placement(toy_shape, state.usage, placement)
+            assert table.remap(state, placement) == expected
+            assert table.remap(state, placement) is table.remap(state, placement)
+        assert table.check() == []
+
+    def test_every_map_is_a_bounded_lru(self, toy_shape, monkeypatch):
+        monkeypatch.setattr(transitions, "TRANSITION_ENTRIES", 2)
+        table = TransitionTable([ShapeInfo(toy_shape, 0)])
+        state = table.state(0, toy_shape.empty_usage())
+        for unit in range(4):
+            state = table.step(state, (((unit, 1),),))
+        assert table.n_states == 2
+        assert len(table) == 2
+        assert [s.usage for s in table.states()] == [
+            ((1, 1, 1, 0),), ((1, 1, 1, 1),),
+        ]
+        assert table.check() == []
+        table.clear()
+        assert (table.n_states, len(table)) == (0, 0)
+
+    def test_rebuild_clears_the_datacenter_table(
+        self, toy_shape, toy_table, vm2
+    ):
+        dc = soa_datacenter(toy_shape)
+        policy = PageRankVMPolicy({toy_shape: toy_table})
+        place(dc, policy, 0, vm2)
+        place(dc, policy, 1, vm2)
+        table = dc.transitions
+        assert len(table) > 0
+        before = table.states()
+        dc.rebuild()
+        assert len(table) == 0
+        assert not any(
+            state is old for state in table.states() for old in before
+        )
+        assert table.check() == []
+        assert dc.check_columns() == []
+
+
 class TestRebuildEpoch:
     def test_rebuild_bumps_epoch_and_reinterns_ids(
         self, toy_shape, toy_table, vm2, vm4
@@ -169,3 +237,23 @@ class TestColumnAudit:
         report = audit_datacenter(dc, expected_vm_ids=[0])
         assert not report.ok
         assert any(v.constraint == "I2" for v in report.violations)
+
+    def test_tampered_canonical_column_fails_i2(
+        self, toy_shape, toy_table, vm2
+    ):
+        dc = soa_datacenter(toy_shape)
+        policy = PageRankVMPolicy({toy_shape: toy_table})
+        place(dc, policy, 0, vm2)
+        pos = dc.locate(0)  # ids are inventory positions here
+        dc.shards[pos // 3].canon[pos % 3, 0] += 1
+        problems = dc.check_columns()
+        assert problems and "canonical column" in problems[0]
+
+    def test_diverged_row_state_fails_i2(self, toy_shape, toy_table, vm2):
+        dc = soa_datacenter(toy_shape)
+        policy = PageRankVMPolicy({toy_shape: toy_table})
+        place(dc, policy, 0, vm2)
+        pos = dc.locate(0)
+        dc._rows[pos] = dc.transitions.state(0, toy_shape.empty_usage())
+        problems = dc.check_columns()
+        assert problems and "row state" in problems[0]

@@ -3,13 +3,19 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.datacenter import Datacenter
+from repro.cluster.machine import PhysicalMachine
+from repro.cluster.vm import VirtualMachine
 from repro.core.permutations import (
+    Placement,
     apply_assignments,
     balanced_placement,
     can_place,
     enumerate_placements,
     first_fit_placement,
+    remap_placement,
 )
+from repro.core.policy import PlacementDecision
 from repro.core.profile import MachineShape, ResourceGroup, VMType
 
 
@@ -107,3 +113,83 @@ class TestStrategyConsistency:
         for placement in enumerate_placements(shape, usage, vm):
             after = sum(sum(g) for g in placement.new_usage)
             assert after == before + demanded
+
+
+@st.composite
+def remap_cases(draw):
+    """A shape with runs of equal-capacity units, a real (unsorted) usage
+    on it and a VM; the usage is drawn per unit, so runs are permuted."""
+    runs = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=6),
+            st.integers(min_value=1, max_value=3),
+        ),
+        min_size=1, max_size=3,
+    ))
+    capacities = tuple(sorted(cap for cap, count in runs for _ in range(count)))
+    mem = draw(st.integers(min_value=1, max_value=8))
+    shape = MachineShape(groups=(
+        ResourceGroup(name="cpu", capacities=capacities),
+        ResourceGroup(name="mem", capacities=(mem,), anti_collocation=False),
+    ))
+    usage = (
+        tuple(draw(st.integers(min_value=0, max_value=cap)) for cap in capacities),
+        (draw(st.integers(min_value=0, max_value=mem)),),
+    )
+    n_chunks = draw(st.integers(min_value=1, max_value=len(capacities)))
+    chunks = tuple(
+        draw(st.integers(min_value=1, max_value=capacities[-1]))
+        for _ in range(n_chunks)
+    )
+    vm = VMType(
+        name="vm",
+        demands=(chunks, (draw(st.integers(min_value=0, max_value=mem)),)),
+    )
+    return shape, usage, vm
+
+
+def _machine_at(shape, usage):
+    """A one-PM datacenter whose only PM holds ``usage`` in real order."""
+    datacenter = Datacenter([PhysicalMachine(0, shape)])
+    filler = tuple(
+        tuple((idx, used) for idx, used in enumerate(group) if used > 0)
+        for group in usage
+    )
+    datacenter.apply(
+        VirtualMachine(0, VMType(name="filler", demands=usage)),
+        PlacementDecision(
+            pm_id=0,
+            placement=Placement(
+                new_usage=shape.canonicalize(usage), assignments=filler
+            ),
+        ),
+    )
+    assert datacenter.machine(0).usage == usage
+    return datacenter
+
+
+class TestRemapPlacement:
+    @given(remap_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_remapped_placement_is_valid_on_the_real_units(self, case):
+        # Placements enumerated on the canonical usage, remapped onto the
+        # real unit order, must pass the datacenter's capacity and
+        # anti-collocation checks and reach the same canonical usage.
+        shape, usage, vm = case
+        canonical = shape.canonicalize(usage)
+        for vm_id, placement in enumerate(
+            enumerate_placements(shape, canonical, vm), start=1
+        ):
+            remapped = remap_placement(shape, usage, placement)
+            assert remapped.new_usage == placement.new_usage
+            assert shape.canonicalize(
+                apply_assignments(usage, remapped.assignments)
+            ) == placement.new_usage
+            datacenter = _machine_at(shape, usage)
+            datacenter.apply(
+                VirtualMachine(vm_id, vm),
+                PlacementDecision(pm_id=0, placement=remapped),
+            )
+            assert datacenter.machine(0).usage == apply_assignments(
+                usage, remapped.assignments
+            )
