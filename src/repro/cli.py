@@ -219,11 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-size", type=int, default=4_096,
         help="rows per columnar shard (default: 4096)")
     bench_sweep.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="shared-memory tick workers per point (default: 1, serial; "
-             "N > 1 fans the monitor fold out bit-identically and "
-             "records a 'shared' BENCH phase)")
-    bench_sweep.add_argument(
         "--out", metavar="FILE", default=None,
         help="append the sweep entry to this BENCH trajectory file")
     bench_sweep.add_argument(
@@ -392,15 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--fleet", choices=("toy", "ec2"), default="toy",
             help="toy: 4x4-core PMs (instant); ec2: the paper's M3 fleet")
-        sp.add_argument(
-            "--workers", type=int, default=1, metavar="N",
-            help="multi-process admission scoring over shared score "
-                 "tables (decisions bit-identical to --workers 1); "
-                 "loadgen records a 'shared' BENCH phase when N > 1")
-        sp.add_argument(
-            "--scoring-min-batch", type=int, default=64, metavar="ROWS",
-            help="smallest admission batch worth fanning out to the "
-                 "scoring workers (smaller ones score locally)")
         sp.add_argument("--pms", type=int, default=None,
                         help="fleet size (default: 8 toy / 480 ec2)")
         sp.add_argument("--seed", type=int, default=0)
@@ -659,18 +645,13 @@ def _cmd_bench(args) -> int:
     object_max_pms = args.object_max_pms
     if args.check_identity and object_max_pms == 0:
         object_max_pms = max(args.pms)
-    # A parallel-tick sweep lands in the "shared" phase (the zero-copy
-    # data plane's trajectory); the serial sweep keeps "scale_sweep".
     entry = {
         "recorded_at": datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         ),
-        "phase": "shared" if args.workers > 1 else "scale_sweep",
+        "phase": "scale_sweep",
         "quick": args.quick,
     }
-    if args.workers > 1:
-        entry["source"] = "bench_sweep"
-        entry["workers"] = args.workers
     entry.update(run_sweep(
         args.pms,
         quick=args.quick,
@@ -678,7 +659,6 @@ def _cmd_bench(args) -> int:
         object_max_pms=object_max_pms,
         scan_anchor_pms=args.scan_anchor_pms,
         table_cache_dir=args.table_cache,
-        tick_workers=args.workers,
     ))
     if args.out is not None:
         benchfile.append_entry(entry, Path(args.out))
@@ -884,22 +864,16 @@ def _cmd_serve(args) -> int:
     )
 
     def make_service():
-        workers = getattr(args, "workers", 1)
-        min_batch = getattr(args, "scoring_min_batch", 64)
         if args.fleet == "ec2":
             counts = {"M3": args.pms if args.pms is not None else 480}
             return build_ec2_service(
                 counts,
                 seed=args.seed,
                 table_cache_dir=args.table_cache,
-                scoring_workers=workers,
-                scoring_min_batch=min_batch,
             )
         return build_toy_service(
             n_pms=args.pms if args.pms is not None else 8,
             seed=args.seed,
-            scoring_workers=workers,
-            scoring_min_batch=min_batch,
         )
 
     if args.serve_command == "run":
@@ -962,21 +936,14 @@ def _cmd_serve(args) -> int:
                 seed=args.seed,
                 after_request=after_request,
             )
-        # Pool vitals (incl. live per-worker RSS) before close kills them.
-        scoring = (
-            service.scoring_pool.stats()
-            if service.scoring_pool is not None
-            else None
-        )
         digest = service.decision_digest
-        service.close()
         payload = report.as_dict()
         payload["decision_digest"] = digest
         if args.hot_swap_at is not None:
             payload["hot_swaps"] = swaps_done[0]
         print(json.dumps(payload, indent=2, sort_keys=True))
         if args.out is not None:
-            from repro.serve import record_report, record_shared_report
+            from repro.serve import record_report
 
             recorded_at = datetime.now(timezone.utc).isoformat(
                 timespec="seconds"
@@ -984,23 +951,13 @@ def _cmd_serve(args) -> int:
             extra = {"seed": args.seed, "decision_digest": digest}
             if args.hot_swap_at is not None:
                 extra["hot_swaps"] = swaps_done[0]
-            if scoring is not None:
-                record_shared_report(
-                    report,
-                    Path(args.out),
-                    fleet=args.fleet,
-                    recorded_at=recorded_at,
-                    scoring=scoring,
-                    extra=extra,
-                )
-            else:
-                record_report(
-                    report,
-                    Path(args.out),
-                    fleet=args.fleet,
-                    recorded_at=recorded_at,
-                    extra=extra,
-                )
+            record_report(
+                report,
+                Path(args.out),
+                fleet=args.fleet,
+                recorded_at=recorded_at,
+                extra=extra,
+            )
         return 0
 
     # chaos

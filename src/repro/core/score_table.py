@@ -127,13 +127,13 @@ class ScoreTable:
     ) -> "ScoreTable":
         """Construct a table directly over its snap matrix and score vector.
 
-        This is the zero-copy attach path of the shared data plane (see
-        :mod:`repro.core.shm`): ``matrix`` and ``flat_scores`` are
-        typically read-only views into a shared segment.  The
-        exact-lookup dict is *not* built here — attaching stays O(1) in
-        table size — but materialized lazily from the matrix rows on
-        first exact lookup (:meth:`_scores_map`), in row order, which
-        reproduces the builder's insertion order exactly.
+        The fleet delta plane builds its master tables and its serving
+        snapshots this way; ``matrix`` and ``flat_scores`` may be
+        read-only views.  The exact-lookup dict is *not* built here —
+        construction stays O(1) in table size — but materialized lazily
+        from the matrix rows on first exact lookup (:meth:`_scores_map`),
+        in row order, which reproduces the builder's insertion order
+        exactly.
         """
         require(matrix.ndim == 2, "snap matrix must be 2-D")
         require(
@@ -166,16 +166,15 @@ class ScoreTable:
     def _scores_map(self) -> Dict[Usage, float]:
         """The exact-lookup dict, materialized from the flat arrays.
 
-        Shared (attached) tables start dict-less; the first exact
+        Tables built over flat arrays start dict-less; the first exact
         lookup rebuilds the usage tuples from the snap matrix rows —
         the matrix stores exact small integers as float64, so the round
         trip is lossless and the dict is identical to the builder's.
 
-        The shared snap matrix is never copied wholesale: rows convert
-        through bounded chunks (:data:`_MATERIALIZE_CHUNK`), the
-        attached array object itself stays in place, and its
-        ``writeable=False`` protection is untouched — the contract the
-        zero-copy shm plane relies on (see :mod:`repro.core.shm`).
+        The snap matrix is never copied wholesale: rows convert through
+        bounded chunks (:data:`_MATERIALIZE_CHUNK`), the array object
+        itself stays in place, and its ``writeable=False`` protection
+        is untouched.
         """
         if self._scores is None:
             matrix = self._flat_matrix
@@ -223,9 +222,8 @@ class ScoreTable:
         only appended to.  Lazy structures (exact-lookup dict, snap
         cache) reset and rebuild on demand.
 
-        Frozen or shared tables refuse the mutation — a published shm
-        segment is immutable by contract; grow a private master table
-        and republish under the new content key instead (see
+        Frozen tables refuse the mutation; grow a private master table
+        and swap in a snapshot of it instead (see
         ``repro.serve.fleet.FleetDeltaPlane``).
 
         Raises:
@@ -371,7 +369,7 @@ class ScoreTable:
                 count=len(self._flat_usages),
             )
         assert self._flat_scores is not None
-        # _flat_usages is None for shared (attached) tables until the
+        # _flat_usages is None for flat-array-built tables until the
         # exact-lookup dict materializes; snap callers only use the
         # matrix and score vector.
         return self._flat_matrix, self._flat_usages, self._flat_scores

@@ -526,20 +526,6 @@ class SoADatacenter:
     # ------------------------------------------------------------------
     # Columnar tick
     # ------------------------------------------------------------------
-    def ensure_csr(self, burst: Any) -> None:
-        """Build any missing per-shard CSR for ``burst``.
-
-        Lazily invoked by the serial tick; the parallel tick pool calls
-        it up front so mirror synchronization sees every shard built.
-        """
-        for shard in self._shards:
-            if burst not in shard.csr:
-                shard.build_csr(
-                    burst, self._infos,
-                    {vm_id: self._traces.slot(vm_id)
-                     for row_allocs in shard.allocs for vm_id in row_allocs},
-                )
-
     def monitor_arrays(
         self, time_s: float, burst: Any = "core"
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -551,7 +537,13 @@ class SoADatacenter:
         bincount fold (bit-identical to the per-machine walk).
         """
         validate_burst(burst)
-        self.ensure_csr(burst)
+        for shard in self._shards:
+            if burst not in shard.csr:
+                shard.build_csr(
+                    burst, self._infos,
+                    {vm_id: self._traces.slot(vm_id)
+                     for row_allocs in shard.allocs for vm_id in row_allocs},
+                )
         fractions = self._traces.fractions(time_s)
         positions: List[np.ndarray] = []
         utilization: List[np.ndarray] = []

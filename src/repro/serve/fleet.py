@@ -29,7 +29,6 @@ from repro.core.soa.datacenter import SoADatacenter
 from repro.experiments.sweep import sweep_table
 from repro.serve.clock import Clock
 from repro.serve.service import PlacementService
-from repro.serve.workers import PooledScoreTable, ScoringWorkerPool
 from repro.util.rng import RngFactory
 from repro.util.validation import require
 
@@ -40,30 +39,6 @@ __all__ = [
     "build_ec2_service",
     "FleetDeltaPlane",
 ]
-
-
-def _pooled_tables(
-    tables: Dict[MachineShape, ScoreTable],
-    scoring_workers: int,
-    min_batch: int = 64,
-) -> Tuple[Dict[MachineShape, ScoreTable], Optional[ScoringWorkerPool]]:
-    """Share the tables and wrap them over a worker pool when asked.
-
-    ``scoring_workers <= 1`` returns the tables untouched (the serial
-    path); otherwise each table is published into shared memory once and
-    wrapped so batched admission scoring fans out across the workers —
-    value-identical either way (see :mod:`repro.serve.workers`).
-    """
-    pool = ScoringWorkerPool.create(
-        list(tables.values()), scoring_workers, min_batch=min_batch
-    )
-    if pool is None:
-        return tables, None
-    wrapped: Dict[MachineShape, ScoreTable] = {
-        shape: PooledScoreTable.wrap(table, pool, index)
-        for index, (shape, table) in enumerate(tables.items())
-    }
-    return wrapped, pool
 
 
 def toy_shape() -> MachineShape:
@@ -87,20 +62,13 @@ def build_toy_service(
     seed: int = 0,
     clock: Optional[Clock] = None,
     pool_size: Optional[int] = None,
-    scoring_workers: int = 1,
-    scoring_min_batch: int = 64,
     **service_kwargs,
 ) -> PlacementService:
     """A small table-driven service on the struct-of-arrays substrate."""
     shape = toy_shape()
     vm_types = toy_vm_types()
-    tables, pool = _pooled_tables(
-        {shape: build_score_table(shape, vm_types)},
-        scoring_workers,
-        min_batch=scoring_min_batch,
-    )
     policy = PageRankVMPolicy(
-        tables,
+        {shape: build_score_table(shape, vm_types)},
         pool_size=pool_size,
         rng=RngFactory(seed).generator("serve-policy"),
     )
@@ -113,7 +81,6 @@ def build_toy_service(
         vm_types,
         clock=clock,
         seed=seed,
-        scoring_pool=pool,
         **service_kwargs,
     )
 
@@ -131,12 +98,11 @@ class FleetDeltaPlane:
     over the invalidation cone
     (:func:`~repro.core.kernel_sweep.resweep_delta`), in-place table
     row append (:meth:`ScoreTable.apply_delta`) — and hot-swaps
-    immutable snapshots into the service between admission batches
-    (pool republish under the bumped content key, then policy table
-    replacement).  The serving tables are never mutated: each swap
-    hands out a fresh :meth:`ScoreTable.from_flat_arrays` view whose
-    arrays the master abandons (never edits) on its next delta, so a
-    stale reader can at worst see a complete old generation.
+    immutable snapshots into the service's policy between admission
+    batches.  The serving tables are never mutated: each swap hands out
+    a fresh :meth:`ScoreTable.from_flat_arrays` view whose arrays the
+    master abandons (never edits) on its next delta, so a stale reader
+    can at worst see a complete old generation.
 
     Bootstrapping the plane performs one cold build per shape (graphs
     come from the on-disk cache when ``graph_cache_dir`` is set); every
@@ -293,18 +259,13 @@ def build_ec2_service(
     table_cache_dir: Optional[str] = None,
     jobs: int = 1,
     shard_size: int = 4_096,
-    scoring_workers: int = 1,
-    scoring_min_batch: int = 64,
     **service_kwargs,
 ) -> PlacementService:
     """The paper's M3 fleet as a service (loadgen's default world)."""
     counts = counts if counts is not None else {"M3": 480}
     table = sweep_table(table_cache_dir, jobs=jobs)
-    tables, pool = _pooled_tables(
-        {table.shape: table}, scoring_workers, min_batch=scoring_min_batch
-    )
     policy = PageRankVMPolicy(
-        tables,
+        {table.shape: table},
         pool_size=pool_size,
         rng=RngFactory(seed).generator("serve-policy"),
     )
@@ -315,6 +276,5 @@ def build_ec2_service(
         EC2_VM_TYPES,
         clock=clock,
         seed=seed,
-        scoring_pool=pool,
         **service_kwargs,
     )

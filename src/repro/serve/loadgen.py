@@ -16,6 +16,10 @@ socket noise):
 Latency percentiles are computed from per-request wall-clock
 (``perf_counter``) samples; the report lands in BENCH_perf.json as a
 ``"serve"`` phase entry via :func:`repro.util.benchfile.append_entry`.
+Open-loop latency runs from each request's *due* time, not from when it
+was sent, so a stall on the event loop shows in the latencies of every
+request queued behind it (no coordinated omission); how late the
+generator itself sent is reported separately as ``late_ms_p99``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "run_closed_loop",
     "run_open_loop",
     "record_report",
-    "record_shared_report",
 ]
 
 
@@ -47,7 +50,8 @@ class LoadgenReport:
     """What one load run produced.
 
     Outcome counts partition ``n_requests`` exactly (every request
-    resolved to one of the four terminal outcomes).
+    resolved to one of the four terminal outcomes).  ``late_ms_p99``
+    is the open loop's p99 of sent minus due time (0 in closed loop).
     """
 
     mode: str
@@ -58,6 +62,7 @@ class LoadgenReport:
     placements_per_s: float
     p50_ms: float
     p99_ms: float
+    late_ms_p99: float = 0.0
     outcomes: Dict[str, int] = field(default_factory=dict)
     statuses: Dict[str, int] = field(default_factory=dict)
 
@@ -72,6 +77,7 @@ class LoadgenReport:
             "placements_per_s": self.placements_per_s,
             "p50_ms": self.p50_ms,
             "p99_ms": self.p99_ms,
+            "late_ms_p99": self.late_ms_p99,
             "outcomes": dict(self.outcomes),
             "statuses": dict(self.statuses),
         }
@@ -99,6 +105,7 @@ def _summarize(
     wall_s: float,
     concurrency: int,
     rate_rps: Optional[float],
+    lateness_s: Sequence[float] = (),
 ) -> LoadgenReport:
     outcomes: Dict[str, int] = {}
     statuses: Dict[str, int] = {}
@@ -112,6 +119,7 @@ def _summarize(
         if outcome in ("placed", "degraded"):
             placed += 1
     samples = np.asarray(latencies_s, dtype=np.float64) * 1e3
+    late = np.asarray(lateness_s, dtype=np.float64) * 1e3
     return LoadgenReport(
         mode=mode,
         n_requests=len(responses),
@@ -121,6 +129,7 @@ def _summarize(
         placements_per_s=placed / wall_s if wall_s > 0 else 0.0,
         p50_ms=float(np.percentile(samples, 50)) if len(samples) else 0.0,
         p99_ms=float(np.percentile(samples, 99)) if len(samples) else 0.0,
+        late_ms_p99=float(np.percentile(late, 99)) if len(late) else 0.0,
         outcomes=outcomes,
         statuses=statuses,
     )
@@ -186,6 +195,8 @@ def run_open_loop(
 ) -> LoadgenReport:
     """Fixed-rate arrivals, completions be damned (shedding territory).
 
+    Each request is timed from the moment it was due, so time spent
+    waiting behind a stalled event loop counts against its latency.
     ``after_request`` behaves as in :func:`run_closed_loop`.
     """
     require(n_requests >= 1, "n_requests must be >= 1")
@@ -193,12 +204,13 @@ def run_open_loop(
     client = ASGITestClient(app)
     bodies = _vm_type_bodies(app, n_requests, seed)
     latencies: List[float] = []
+    lateness: List[float] = []
     completed = [0]
 
-    async def one(body: Dict[str, Any]) -> Any:
-        start = time.perf_counter()
+    async def one(body: Dict[str, Any], due: float) -> Any:
+        lateness.append(time.perf_counter() - due)
         response = await client.request("POST", "/place", body)
-        latencies.append(time.perf_counter() - start)
+        latencies.append(time.perf_counter() - due)
         completed[0] += 1
         if after_request is not None:
             after_request(completed[0])
@@ -213,13 +225,15 @@ def run_open_loop(
             delay = due - time.perf_counter()
             if delay > 0:
                 await asyncio.sleep(delay)
-            tasks.append(asyncio.ensure_future(one(body)))
+            tasks.append(asyncio.ensure_future(one(body, due)))
         return list(await asyncio.gather(*tasks))
 
     start = time.perf_counter()
     responses = asyncio.run(drive())
     wall_s = time.perf_counter() - start
-    return _summarize("open", latencies, responses, wall_s, 1, rate_rps)
+    return _summarize(
+        "open", latencies, responses, wall_s, 1, rate_rps, lateness
+    )
 
 
 def record_report(
@@ -236,42 +250,6 @@ def record_report(
         "recorded_at": recorded_at,
         "phase": "serve",
         "fleet": fleet,
-    }
-    entry.update(report.as_dict())
-    if extra:
-        entry.update(extra)
-    benchfile.append_entry(entry, out)
-    return entry
-
-
-def record_shared_report(
-    report: LoadgenReport,
-    out: Path,
-    fleet: str,
-    recorded_at: str,
-    scoring: Dict[str, Any],
-    extra: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Append a ``"shared"`` phase entry (multi-process serving run).
-
-    On top of the loadgen report this records the zero-copy data plane's
-    vitals: worker count, per-worker resident set (each worker *maps*
-    the shared tables instead of holding a private unpickled copy), how
-    many batches/rows actually fanned out, and the shm segment counters.
-    """
-    from repro.util import benchfile
-
-    entry: Dict[str, Any] = {
-        "recorded_at": recorded_at,
-        "phase": "shared",
-        "source": "serve_loadgen",
-        "fleet": fleet,
-        "workers": scoring.get("workers"),
-        "rss_per_worker_mb": scoring.get("rss_per_worker_mb"),
-        "scoring_batches": scoring.get("batches"),
-        "scoring_rows": scoring.get("rows"),
-        "scoring_failed": scoring.get("failed"),
-        "shm": scoring.get("shm"),
     }
     entry.update(report.as_dict())
     if extra:

@@ -48,7 +48,7 @@ class TestEntryPhase:
 
     def test_registry_covers_the_emitting_phases(self):
         assert set(PHASE_METRICS) == {
-            "harness", "scale_sweep", "serve", "shared", "kernel", "delta",
+            "harness", "scale_sweep", "serve", "kernel", "delta",
         }
 
 
@@ -177,16 +177,16 @@ class TestCheckTrajectory:
         assert serve_only.ok
         assert {c.phase for c in serve_only.checks} == {"serve"}
 
-    def test_shared_phase_sweep_wall_gated(self, tmp_path):
-        def shared(walls):
+    def test_scale_sweep_phase_wall_gated(self, tmp_path):
+        def sweep(walls):
             return {
-                "phase": "shared",
+                "phase": "scale_sweep",
                 "scale_sweep_points": [{"soa_wall_s": w} for w in walls],
             }
 
-        entries = [shared([1.0, 2.0])] * 5 + [shared([4.0, 5.0])]
+        entries = [sweep([1.0, 2.0])] * 5 + [sweep([4.0, 5.0])]
         path = write_trajectory(tmp_path / "b.json", entries)
-        report = check_trajectory(path, phases=["shared"])
+        report = check_trajectory(path, phases=["scale_sweep"])
         (degraded,) = report.degraded
         assert degraded.metric == "soa_wall_total_s"
         assert degraded.latest == pytest.approx(9.0)

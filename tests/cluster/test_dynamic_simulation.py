@@ -170,3 +170,66 @@ class TestUnderloadConsolidation:
         events = [event(i, vm2, arrival=0.0, level=0.05) for i in range(2)]
         result = sim.run_events(events)
         assert result.consolidations == 0
+
+
+def _place_on_units(datacenter, vm, pm_id, units):
+    """Apply ``vm`` to ``pm_id`` with one chunk per named unit."""
+    from repro.core.permutations import Placement, apply_assignments
+    from repro.core.policy import PlacementDecision
+
+    machine = datacenter.machine(pm_id)
+    assignments = (tuple((unit, chunk) for unit, chunk in units),)
+    placement = Placement(
+        new_usage=machine.shape.canonicalize(
+            apply_assignments(machine.usage, assignments)
+        ),
+        assignments=assignments,
+    )
+    datacenter.apply(vm, PlacementDecision(pm_id=pm_id, placement=placement))
+
+
+@pytest.mark.parametrize("substrate", ["object", "soa"])
+def test_failed_drain_restores_the_source_units(toy_shape, vm1, substrate):
+    """A rolled-back underload drain puts every VM back on its own units.
+
+    PM0 holds two 1-core VMs stacked on unit 0.  First Fit moves the
+    first onto PM1's last free core; the second finds no home, so the
+    move is rolled back, and PM0 must come back as ``(2, 0, 0, 0)``,
+    not as a re-balanced ``(1, 1, 0, 0)``.
+    """
+    from repro.cluster.simulation import CloudSimulation
+    from repro.core.profile import VMType
+    from repro.core.soa import SoADatacenter
+
+    if substrate == "object":
+        datacenter = Datacenter(
+            [PhysicalMachine(i, toy_shape, type_name="M3") for i in range(3)]
+        )
+    else:
+        datacenter = SoADatacenter([(i, toy_shape, "M3") for i in range(3)])
+    filler = VMType(name="filler", demands=((4, 4, 4, 3),))
+    _place_on_units(
+        datacenter, VirtualMachine(10, filler, ConstantTrace(1.0)), 1,
+        [(0, 4), (1, 4), (2, 4), (3, 3)],
+    )
+    for vm_id in (0, 1):
+        _place_on_units(
+            datacenter, VirtualMachine(vm_id, vm1, ConstantTrace(0.05)), 0,
+            [(0, 1)],
+        )
+    before = datacenter.machine(0).usage
+    assert before == ((2, 0, 0, 0),)
+    sim = CloudSimulation(
+        datacenter,
+        FirstFitPolicy(),
+        MinimumMigrationTimeSelector(),
+        SimulationConfig(
+            duration_s=600.0,
+            monitor_interval_s=300.0,
+            underload_threshold=0.5,
+        ),
+    )
+    result = sim.run([])
+    assert result.consolidations == 0
+    assert datacenter.locate(0) == datacenter.locate(1) == 0
+    assert datacenter.machine(0).usage == before

@@ -1,6 +1,7 @@
 """Load-generator tests: tiny closed/open runs and BENCH recording."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,21 @@ class TestOpenLoop:
         assert sum(report.outcomes.values()) == 10
         assert set(report.outcomes) <= {"placed", "degraded", "shed", "rejected"}
 
+    def test_stall_shows_in_the_latency_of_queued_requests(self):
+        # One 50 ms stall on the event loop: the requests due during it
+        # are sent late, and their latency must count from when they
+        # were due, not from when the generator got round to them.
+        def stall_once(completed):
+            if completed == 1:
+                time.sleep(0.05)
+
+        report = run_open_loop(
+            make_app(), n_requests=10, rate_rps=1_000.0,
+            after_request=stall_once,
+        )
+        assert report.p99_ms >= 40.0
+        assert report.late_ms_p99 >= 40.0
+
 
 class TestAfterRequestHook:
     def test_closed_loop_hook_sees_every_completion(self):
@@ -76,30 +92,26 @@ class TestAfterRequestHook:
 
         swapped_service = build_toy_service(n_pms=16, clock=ManualClock())
         control_service = build_toy_service(n_pms=16, clock=ManualClock())
-        try:
-            plane = FleetDeltaPlane(swapped_service)
-            swaps = []
+        plane = FleetDeltaPlane(swapped_service)
+        swaps = []
 
-            def maybe_swap(completed):
-                if completed == 10:
-                    plane.swap_current()
-                    swaps.append(completed)
+        def maybe_swap(completed):
+            if completed == 10:
+                plane.swap_current()
+                swaps.append(completed)
 
-            run_closed_loop(
-                build_app(swapped_service), n_requests=20, concurrency=4,
-                after_request=maybe_swap,
-            )
-            run_closed_loop(
-                build_app(control_service), n_requests=20, concurrency=4
-            )
-            assert swaps == [10]
-            assert (
-                swapped_service.decision_digest
-                == control_service.decision_digest
-            )
-        finally:
-            swapped_service.close()
-            control_service.close()
+        run_closed_loop(
+            build_app(swapped_service), n_requests=20, concurrency=4,
+            after_request=maybe_swap,
+        )
+        run_closed_loop(
+            build_app(control_service), n_requests=20, concurrency=4
+        )
+        assert swaps == [10]
+        assert (
+            swapped_service.decision_digest
+            == control_service.decision_digest
+        )
 
 
 class TestRecordReport:
