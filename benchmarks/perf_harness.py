@@ -351,15 +351,14 @@ def measure_kernels(
 def measure_graph_build(
     repeats: int = 3,
     with_seed_baseline: bool = True,
-    jobs: Optional[int] = None,
 ) -> Dict[str, object]:
     """Graph-construction metrics on the EC2-scale workload.
 
-    Times the interned/memoized serial builder from cold placement memos
-    (the honest first-build cost), the process-pool builder at
-    ``jobs=cpu_count``, and a reload from the on-disk graph cache; when
-    the seed baseline is enabled, also times the seed repo's builder and
-    reports the speedup plus a node/edge identity check against it.
+    Times the interned/memoized builder from cold placement memos (the
+    honest first-build cost) and a reload from the on-disk graph cache;
+    when the seed baseline is enabled, also times the seed repo's
+    builder and reports the speedup plus a node/edge identity check
+    against it.
     """
     from repro.core import permutations
     from repro.core.graph_cache import load_or_build_profile_graph
@@ -388,27 +387,6 @@ def measure_graph_build(
         metrics["graph_build_matches_seed"] = (
             seed_graph.profiles == serial.profiles
             and seed_graph.successors == serial.successors
-        )
-
-    n_jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    if n_jobs > 1:
-        def cold_parallel() -> ProfileGraph:
-            permutations.clear_group_memos()
-            return build_profile_graph(
-                shape, EC2_VM_TYPES,
-                strategy=SuccessorStrategy.BALANCED, mode="reachable",
-                jobs=n_jobs,
-            )
-
-        parallel_start = time.perf_counter()
-        parallel = cold_parallel()
-        metrics["graph_build_parallel_wall_s"] = (
-            time.perf_counter() - parallel_start
-        )
-        metrics["graph_build_parallel_jobs"] = n_jobs
-        metrics["graph_build_parallel_identical"] = (
-            parallel.profiles == serial.profiles
-            and parallel.successors == serial.successors
         )
 
     with tempfile.TemporaryDirectory() as cache_dir:

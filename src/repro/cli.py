@@ -9,8 +9,8 @@ Commands:
 * ``exact``     — solve a small random instance exactly and report
   heuristic gaps.
 * ``graph``     — build (and cache) profile graphs for EC2 PM shapes;
-  ``graph build --jobs N --graph-cache DIR`` exercises the parallel
-  frontier BFS and the on-disk graph cache directly.
+  ``graph build --graph-cache DIR`` exercises the serial BFS builder
+  and the on-disk graph cache directly.
 * ``bench``     — performance measurements outside the full harness;
   ``bench sweep --pms N`` runs the columnar scale sweep (allocate +
   simulate at N PMs, optionally twinned against the object path).
@@ -92,10 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
              "runs and worker processes (default: $REPRO_TABLE_CACHE); "
              "cached profile graphs live in its graphs/ subdirectory")
     simulate.add_argument(
-        "--graph-jobs", type=int, default=1,
-        help="worker processes for building any profile graph a score-"
-             "table miss requires; bit-identical to 1 (default)")
-    simulate.add_argument(
         "--audit", action="store_true",
         help="validate every run's final placements against the MIP "
              "constraints (1)-(11) inside the worker that produced them")
@@ -174,10 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
              "simulations)")
     graph_build.add_argument(
         "--mode", choices=("reachable", "full"), default="reachable")
-    graph_build.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the parallel frontier BFS; 0 means "
-             "one per CPU.  Output is bit-identical to --jobs 1")
     graph_build.add_argument(
         "--graph-cache", metavar="DIR", default=None,
         help="on-disk graph cache directory: load the graph from it when "
@@ -464,7 +456,6 @@ def _cmd_simulate(args) -> int:
         retry=retry,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
-        graph_jobs=args.graph_jobs,
     )
     any_degraded = any(
         run.degraded
@@ -600,7 +591,6 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    import os
     import time
 
     from repro.cluster.ec2 import EC2_VM_TYPES, ec2_pm_shape
@@ -611,7 +601,6 @@ def _cmd_graph(args) -> int:
         "balanced": SuccessorStrategy.BALANCED,
         "all": SuccessorStrategy.ALL_PLACEMENTS,
     }[args.strategy]
-    jobs = args.jobs or (os.cpu_count() or 1)
     print(f"{'shape':8s} {'nodes':>10s} {'edges':>10s} {'seconds':>9s} "
           f"{'source':>7s}")
     for pm_name in args.pm:
@@ -624,7 +613,6 @@ def _cmd_graph(args) -> int:
             strategy=strategy,
             mode=args.mode,
             node_limit=args.node_limit,
-            jobs=jobs,
             cache_dir=args.graph_cache,
         )
         elapsed = time.perf_counter() - start

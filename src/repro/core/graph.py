@@ -20,25 +20,24 @@ Two successor strategies:
   deterministic least-loaded packing (scalable approximation, see
   DESIGN.md section 3.2).
 
-Construction is built on three layers (DESIGN.md section 3.9):
+Construction is a serial FIFO BFS over two layers (DESIGN.md section
+3.9):
 
 * per-group usages are interned into small integer ids, so a machine
   usage is a tuple of a few ints (a *combo*) and BFS dedup is combo
   hashing instead of nested-tuple hashing;
 * group-level placement results come from the bounded memo tables in
   :mod:`repro.core.permutations` and compose into full successors via
-  cheap id products;
-* ``build_profile_graph(..., jobs=N)`` fans each BFS level over a
-  process pool and merges worker shards deterministically — node ids,
-  successor sets and therefore every downstream score are bit-identical
-  to the serial build.
+  cheap id products.
+
+Node ids are BFS discovery order; the graph cache and the rank delta
+plane rely on that order, so it is pinned by golden digests.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -53,7 +52,6 @@ from typing import (
 import numpy as np
 
 from repro.core import permutations
-from repro.core.interning import UsageInterner, packed_dtype_for
 from repro.core.profile import (
     MachineShape,
     Profile,
@@ -70,7 +68,18 @@ __all__ = [
     "GraphDelta",
     "build_profile_graph",
     "extend_profile_graph",
+    "packed_dtype_for",
 ]
+
+
+def packed_dtype_for(shape: MachineShape) -> np.dtype:
+    """Smallest unsigned dtype holding every unit capacity of ``shape``."""
+    max_cap = max(c for group in shape.groups for c in group.capacities)
+    if max_cap <= np.iinfo(np.uint8).max:
+        return np.dtype(np.uint8)
+    if max_cap <= np.iinfo(np.uint16).max:
+        return np.dtype(np.uint16)
+    return np.dtype(np.uint32)
 
 
 class SuccessorStrategy(enum.Enum):
@@ -176,9 +185,9 @@ class ProfileGraph:
         """All profiles as a packed unsigned (n_nodes, n_dimensions) matrix.
 
         The dtype is the smallest unsigned type covering the shape's unit
-        capacities (see :func:`repro.core.interning.packed_dtype_for`), so
-        this is the compact wire/disk format used by the graph cache.
-        Row order is node-id order.
+        capacities (see :func:`packed_dtype_for`), so this is the compact
+        wire/disk format used by the graph cache.  Row order is node-id
+        order.
         """
         return self.memo(
             "packed_profiles",
@@ -350,8 +359,7 @@ class _SuccessorEngine:
 
     __slots__ = (
         "shape", "vm_types", "strategy", "_groups", "_n_groups", "_memos",
-        "_lives", "_gids", "_gusages", "_balanced", "_options", "_dtype",
-        "_n_dims",
+        "_lives", "_gids", "_gusages", "_balanced", "_options",
     )
 
     def __init__(
@@ -382,8 +390,6 @@ class _SuccessorEngine:
         self._options: List[List[Dict[int, Tuple[int, ...]]]] = [
             [{} for _ in self._groups] for _ in self.vm_types
         ]
-        self._dtype = packed_dtype_for(shape)
-        self._n_dims = shape.n_dimensions
 
     def _gid(self, g: int, usage: Tuple[int, ...]) -> int:
         ids = self._gids[g]
@@ -469,69 +475,6 @@ class _SuccessorEngine:
             self.usage_of(c) for c in self.successor_combos(self.combo_of(usage))
         ]
 
-    def pack_combos(self, combos: Sequence[_Combo]) -> np.ndarray:
-        """Flatten combos into a packed (len(combos), n_dims) matrix."""
-        gusages = self._gusages
-        flat = np.fromiter(
-            (
-                u
-                for combo in combos
-                for g, gid in enumerate(combo)
-                for u in gusages[g][gid]
-            ),
-            dtype=self._dtype,
-            count=len(combos) * self._n_dims,
-        )
-        return flat.reshape(len(combos), self._n_dims)
-
-
-# Per-process engine for pool workers; set once by _worker_init and
-# reused across every level the worker serves, so group memos and
-# gid->gid successor caches survive between levels.
-_WORKER_ENGINE: Optional[_SuccessorEngine] = None
-
-
-def _worker_init(
-    shape: MachineShape,
-    vm_types: Tuple[VMType, ...],
-    strategy: SuccessorStrategy,
-) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = _SuccessorEngine(shape, vm_types, strategy)
-
-
-def _worker_expand(
-    usages: List[Usage],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Expand a contiguous shard of one BFS level.
-
-    Returns per-node successor counts plus all successor usages as one
-    packed matrix, rows in (node, discovery) order — the parent merge
-    walks them in shard order, which reproduces the serial id sequence.
-    """
-    engine = _WORKER_ENGINE
-    assert engine is not None, "worker pool not initialized"
-    counts = np.empty(len(usages), dtype=np.int64)
-    all_combos: List[_Combo] = []
-    for i, usage in enumerate(usages):
-        combos = engine.successor_combos(engine.combo_of(usage))
-        counts[i] = len(combos)
-        all_combos.extend(combos)
-    return counts, engine.pack_combos(all_combos)
-
-
-def _chunked(items: List[Any], n_chunks: int) -> List[List[Any]]:
-    """Split into at most ``n_chunks`` contiguous, order-preserving runs."""
-    n_chunks = max(1, min(n_chunks, len(items)))
-    size, extra = divmod(len(items), n_chunks)
-    chunks: List[List[Any]] = []
-    start = 0
-    for i in range(n_chunks):
-        end = start + size + (1 if i < extra else 0)
-        chunks.append(items[start:end])
-        start = end
-    return chunks
-
 
 def _reachable_limit_error(node_limit: int) -> GraphLimitExceeded:
     return GraphLimitExceeded(
@@ -541,7 +484,7 @@ def _reachable_limit_error(node_limit: int) -> GraphLimitExceeded:
     )
 
 
-def _build_reachable_serial(
+def _build_reachable(
     shape: MachineShape,
     vm_types: Tuple[VMType, ...],
     strategy: SuccessorStrategy,
@@ -576,82 +519,19 @@ def _build_reachable_serial(
     )
 
 
-def _build_reachable_parallel(
+def _build_full(
     shape: MachineShape,
     vm_types: Tuple[VMType, ...],
     strategy: SuccessorStrategy,
     node_limit: int,
-    jobs: int,
 ) -> ProfileGraph:
-    """Level-synchronous BFS fanned over a process pool.
-
-    The serial FIFO processes nodes in id order, and every node of level
-    ``k`` has a smaller id than every node of level ``k + 1`` — so
-    expanding whole levels and merging shards in (shard, node,
-    discovery) order assigns exactly the serial ids.  Workers return
-    packed rows; the parent dedups them against the interner, whose row
-    order therefore *is* the node-id order.
-    """
-    interner = UsageInterner(shape)
-    root = shape.empty_usage()
-    interner.intern(root)
-    successors: List[Tuple[int, ...]] = []
-    level_usages: List[Usage] = [root]
-    with ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_worker_init,
-        initargs=(shape, vm_types, strategy),
-    ) as pool:
-        while level_usages:
-            shards = pool.map(
-                _worker_expand, _chunked(level_usages, jobs * 4)
-            )
-            next_usages: List[Usage] = []
-            for counts, packed in shards:
-                pos = 0
-                for count in counts:
-                    succ_ids: List[int] = []
-                    for row in range(pos, pos + count):
-                        succ_id = interner.lookup_packed(packed[row])
-                        if succ_id is None:
-                            if len(interner) >= node_limit:
-                                raise _reachable_limit_error(node_limit)
-                            succ_id = interner.intern_packed(packed[row])
-                            next_usages.append(interner.usage(succ_id))
-                        succ_ids.append(succ_id)
-                    successors.append(tuple(sorted(succ_ids)))
-                    pos += count
-            level_usages = next_usages
-    graph = ProfileGraph(
-        shape=shape,
-        vm_types=vm_types,
-        strategy=strategy,
-        profiles=interner.usages(),
-        successors=successors,
-    )
-    graph.memo("packed_profiles", lambda: interner.matrix().copy())
-    return graph
-
-
-def _full_profiles(
-    shape: MachineShape, node_limit: int
-) -> List[Usage]:
+    """Every canonical lattice point, in :func:`iter_all_profiles` order."""
     profiles = [p.usage for p in iter_all_profiles(shape)]
     if len(profiles) > node_limit:
         raise GraphLimitExceeded(
             f"full lattice has {len(profiles)} profiles "
             f"(> node_limit={node_limit}); use mode='reachable'"
         )
-    return profiles
-
-
-def _build_full_serial(
-    shape: MachineShape,
-    vm_types: Tuple[VMType, ...],
-    strategy: SuccessorStrategy,
-    node_limit: int,
-) -> ProfileGraph:
-    profiles = _full_profiles(shape, node_limit)
     engine = _SuccessorEngine(shape, vm_types, strategy)
     combo_ids: Dict[_Combo, int] = {}
     combos: List[_Combo] = []
@@ -672,55 +552,12 @@ def _build_full_serial(
     )
 
 
-def _build_full_parallel(
-    shape: MachineShape,
-    vm_types: Tuple[VMType, ...],
-    strategy: SuccessorStrategy,
-    node_limit: int,
-    jobs: int,
-) -> ProfileGraph:
-    profiles = _full_profiles(shape, node_limit)
-    interner = UsageInterner.from_usages(shape, profiles)
-    successors: List[Tuple[int, ...]] = []
-    with ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_worker_init,
-        initargs=(shape, vm_types, strategy),
-    ) as pool:
-        for counts, packed in pool.map(
-            _worker_expand, _chunked(profiles, jobs * 4)
-        ):
-            pos = 0
-            for count in counts:
-                succ_ids = []
-                for row in range(pos, pos + count):
-                    succ_id = interner.lookup_packed(packed[row])
-                    if succ_id is None:
-                        raise RuntimeError(
-                            "full-lattice successor missing from the "
-                            "lattice; canonicalization is inconsistent"
-                        )
-                    succ_ids.append(succ_id)
-                successors.append(tuple(sorted(succ_ids)))
-                pos += count
-    graph = ProfileGraph(
-        shape=shape,
-        vm_types=vm_types,
-        strategy=strategy,
-        profiles=profiles,
-        successors=successors,
-    )
-    graph.memo("packed_profiles", lambda: interner.matrix().copy())
-    return graph
-
-
 def build_profile_graph(
     shape: MachineShape,
     vm_types: Sequence[VMType],
     strategy: SuccessorStrategy = SuccessorStrategy.ALL_PLACEMENTS,
     mode: str = "reachable",
     node_limit: int = 1_000_000,
-    jobs: int = 1,
 ) -> ProfileGraph:
     """Generate the profile graph G for a PM shape and VM type set.
 
@@ -734,10 +571,6 @@ def build_profile_graph(
         mode: ``"reachable"`` (BFS from the empty profile) or ``"full"``
             (entire canonical lattice).
         node_limit: safety bound on the number of nodes.
-        jobs: number of worker processes; ``jobs >= 2`` expands BFS levels
-            (or lattice shards) on a process pool.  The result is
-            bit-identical to ``jobs=1`` — same node ids, same successor
-            tuples — so parallelism is purely a wall-clock knob.
 
     Raises:
         GraphLimitExceeded: when more than ``node_limit`` nodes arise.
@@ -757,20 +590,9 @@ def build_profile_graph(
         )
     if mode not in ("reachable", "full"):
         raise ValidationError(f"unknown graph mode {mode!r}")
-    jobs = int(jobs)
-    require(jobs >= 1, f"jobs must be >= 1, got {jobs}")
-
     if mode == "full":
-        if jobs > 1:
-            return _build_full_parallel(
-                shape, vm_types, strategy, node_limit, jobs
-            )
-        return _build_full_serial(shape, vm_types, strategy, node_limit)
-    if jobs > 1:
-        return _build_reachable_parallel(
-            shape, vm_types, strategy, node_limit, jobs
-        )
-    return _build_reachable_serial(shape, vm_types, strategy, node_limit)
+        return _build_full(shape, vm_types, strategy, node_limit)
+    return _build_reachable(shape, vm_types, strategy, node_limit)
 
 
 @dataclass(frozen=True)

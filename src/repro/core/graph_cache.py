@@ -362,7 +362,6 @@ def load_or_build_profile_graph(
     strategy: SuccessorStrategy = SuccessorStrategy.ALL_PLACEMENTS,
     mode: str = "reachable",
     node_limit: int = 1_000_000,
-    jobs: int = 1,
     cache_dir: Optional[Union[str, Path]] = None,
     mmap_mode: Optional[str] = None,
 ) -> ProfileGraph:
@@ -370,17 +369,17 @@ def load_or_build_profile_graph(
 
     With ``cache_dir=None`` this is exactly :func:`build_profile_graph`.
     Otherwise the content-keyed entry under ``cache_dir`` is tried first;
-    a miss builds with ``jobs`` workers and persists the result
-    atomically for the next caller.  ``mmap_mode="r"`` maps the cached
-    arrays read-only instead of copying them into the process (see
-    :func:`load_graph`); after a miss, the freshly saved entry is
-    reloaded through the same mapped path.
+    a miss builds and persists the result atomically for the next
+    caller.  ``mmap_mode="r"`` maps the cached arrays read-only instead
+    of copying them into the process (see :func:`load_graph`); after a
+    miss, the freshly saved entry is reloaded through the same mapped
+    path.
     """
     vm_types = tuple(vm_types)
     if cache_dir is None:
         return build_profile_graph(
             shape, vm_types, strategy, mode=mode,
-            node_limit=node_limit, jobs=jobs,
+            node_limit=node_limit,
         )
     key = graph_cache_key(shape, vm_types, strategy, mode)
     path = graph_cache_path(cache_dir, key)
@@ -392,7 +391,7 @@ def load_or_build_profile_graph(
         return graph
     graph = build_profile_graph(
         shape, vm_types, strategy, mode=mode,
-        node_limit=node_limit, jobs=jobs,
+        node_limit=node_limit,
     )
     save_graph(graph, path, mode)
     if mmap_mode is not None:

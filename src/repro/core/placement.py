@@ -87,16 +87,15 @@ class PageRankVMPolicy(ProfileScorePolicy):
         damping: float = 0.85,
         pool_size: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
-        jobs: int = 1,
         graph_cache_dir: Optional[Union[str, Path]] = None,
         **table_kwargs,
     ) -> "PageRankVMPolicy":
         """Build score tables for every distinct shape and wrap a policy.
 
-        ``jobs`` and ``graph_cache_dir`` reach the graph builder
-        unchanged (parallel frontier BFS / on-disk graph cache, see
-        :func:`repro.core.score_table.build_score_table`); further
-        keyword arguments are passed through as well.
+        ``graph_cache_dir`` reaches the graph builder unchanged (the
+        on-disk graph cache, see
+        :func:`repro.core.score_table.build_score_table`), as do any
+        further keyword arguments.
         """
         tables = {
             shape: build_score_table(
@@ -104,7 +103,6 @@ class PageRankVMPolicy(ProfileScorePolicy):
                 vm_types,
                 strategy=strategy,
                 damping=damping,
-                jobs=jobs,
                 graph_cache_dir=graph_cache_dir,
                 **table_kwargs,
             )

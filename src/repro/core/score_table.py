@@ -514,7 +514,6 @@ def build_score_table(
     vote_direction: str = "forward",
     scoring: str = "pagerank",
     graph: Optional[ProfileGraph] = None,
-    jobs: int = 1,
     graph_cache_dir: Optional[Union[str, Path]] = None,
     rank_kernel: str = "sweep",
 ) -> ScoreTable:
@@ -534,8 +533,6 @@ def build_score_table(
         graph: optionally a prebuilt :class:`ProfileGraph` for ``shape``
             and ``vm_types``; sweeps over damping/scoring reuse one
             graph this way instead of rebuilding it per variant.
-        jobs: worker processes for graph construction (ignored when
-            ``graph`` is supplied); results are bit-identical to serial.
         graph_cache_dir: optional on-disk graph cache consulted before
             building (see :mod:`repro.core.graph_cache`); ignored when
             ``graph`` is supplied.
@@ -565,7 +562,6 @@ def build_score_table(
             strategy=strategy,
             mode=mode,
             node_limit=node_limit,
-            jobs=jobs,
             cache_dir=graph_cache_dir,
         )
     else:

@@ -123,16 +123,12 @@ def make_policy_and_selector(
     )
 
 
-def _score_tables(
-    config: ExperimentConfig,
-    table_cache_dir: Optional[str],
-    graph_jobs: int = 1,
-):
+def _score_tables(config: ExperimentConfig, table_cache_dir: Optional[str]):
     """The (cached) score tables every PageRankVM variant of a config shares.
 
     A table miss first consults the on-disk *graph* cache under the table
-    cache directory (``<table_cache_dir>/graphs``) and builds any missing
-    profile graph with ``graph_jobs`` worker processes — see
+    cache directory (``<table_cache_dir>/graphs``) before building any
+    missing profile graph — see
     :func:`repro.experiments.tables.score_tables_for`.
     """
     shapes = [ec2_pm_shape(pm_name) for pm_name, _ in config.datacenter]
@@ -144,7 +140,6 @@ def _score_tables(
         vote_direction=config.vote_direction,
         scoring=config.scoring,
         cache_dir=table_cache_dir,
-        jobs=graph_jobs,
     )
 
 
@@ -534,7 +529,6 @@ def run_experiment(
     retry: Optional[RetryPolicy] = None,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
-    graph_jobs: int = 1,
 ) -> ExperimentResults:
     """Run every configured policy over every repetition.
 
@@ -551,9 +545,6 @@ def run_experiment(
             once per process (see :mod:`repro.experiments.tables`).
             Missing tables also reuse cached profile *graphs* from its
             ``graphs/`` subdirectory (see :mod:`repro.core.graph_cache`).
-        graph_jobs: worker processes for building any profile graph a
-            table miss requires (bit-identical to serial; a wall-clock
-            knob only).
         audit: when True, every cell's final allocation state is checked
             against the MIP constraints (1)-(11) inside the worker that
             produced it, so an invariant break fails the run before any
@@ -607,15 +598,12 @@ def run_experiment(
         # Build the score tables once in the parent before any cell runs:
         # pool children inherit the in-memory cache (and with a disk
         # cache directory even spawn-started workers load instead of
-        # rebuilding), and this is the one place graph_jobs parallelism
-        # can be applied safely.
+        # rebuilding).
         needs_tables = any(
             name.startswith("PageRankVM") for name in config.policies
         )
-        if needs_tables and (graph_jobs > 1 or (
-            workers > 1 and len(pending) > 1
-        )):
-            _score_tables(config, table_cache_dir, graph_jobs)
+        if needs_tables and workers > 1 and len(pending) > 1:
+            _score_tables(config, table_cache_dir)
         if workers == 1 or len(pending) == 1:
             ran, failures = _run_cells_serial(
                 config, pending, table_cache_dir, audit, faults, retry,

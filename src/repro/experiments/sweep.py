@@ -66,14 +66,11 @@ _EXACT_FIELDS = (
 )
 
 
-def sweep_table(
-    table_cache_dir: Optional[str] = None, jobs: int = 1
-) -> ScoreTable:
+def sweep_table(table_cache_dir: Optional[str] = None) -> ScoreTable:
     """The M3 score table the sweep serves from (harness-identical)."""
     return build_score_table(
         ec2_pm_shape("M3"), EC2_VM_TYPES,
         strategy=SuccessorStrategy.BALANCED,
-        jobs=jobs,
         graph_cache_dir=table_cache_dir,
     )
 

@@ -49,15 +49,17 @@ def table_cache_key(
 ) -> str:
     """Stable content hash identifying one score table.
 
-    The rank-kernel generation
-    (:data:`repro.core.kernel_sweep.KERNEL_CODE_VERSION`, read at call
-    time) is baked in so a kernel change misses every cached table
-    instead of serving scores computed by older code.
+    The rank-kernel and graph-builder generations
+    (:data:`repro.core.kernel_sweep.KERNEL_CODE_VERSION` and
+    :data:`repro.core.graph_cache.BUILDER_CODE_VERSION`, both read at
+    call time) are baked in so a kernel or builder change misses every
+    cached table instead of serving scores ranked by older code.
     """
-    from repro.core import kernel_sweep
+    from repro.core import graph_cache, kernel_sweep
 
     digest = hashlib.sha256()
     digest.update(f"kernel:{kernel_sweep.KERNEL_CODE_VERSION};".encode())
+    digest.update(f"builder:{graph_cache.BUILDER_CODE_VERSION};".encode())
     for group in shape.groups:
         digest.update(
             f"{group.name}:{group.capacities}:{group.anti_collocation};".encode()
@@ -90,15 +92,14 @@ def score_tables_for(
     scoring: str = "pagerank",
     cache_dir: Optional[str] = None,
     node_limit: int = 1_000_000,
-    jobs: int = 1,
     graph_cache_dir: Optional[str] = None,
 ) -> Dict[MachineShape, ScoreTable]:
     """Tables for every distinct shape, built at most once each.
 
     Resolution order: in-memory cache, then the disk cache (when a
     directory is configured), then a fresh build (which populates both).
-    A fresh build constructs the profile graph with ``jobs`` workers and
-    consults the on-disk *graph* cache first: ``graph_cache_dir`` when
+    A fresh build consults the on-disk *graph* cache before constructing
+    the profile graph: ``graph_cache_dir`` when
     given, else a ``graphs/`` subdirectory of the table cache — a table
     miss that shares a graph with an earlier variant (other damping,
     other scoring) then skips construction entirely.
@@ -128,7 +129,6 @@ def score_tables_for(
                 vote_direction=vote_direction,
                 scoring=scoring,
                 node_limit=node_limit,
-                jobs=jobs,
                 graph_cache_dir=graph_cache,
             )
             _BUILD_COUNTS[key] = _BUILD_COUNTS.get(key, 0) + 1

@@ -115,7 +115,6 @@ class FleetDeltaPlane:
         self,
         service: PlacementService,
         graph_cache_dir: Optional[Union[str, Path]] = None,
-        jobs: int = 1,
         node_limit: int = 1_000_000,
     ) -> None:
         tables = getattr(service.policy, "tables", None)
@@ -136,7 +135,6 @@ class FleetDeltaPlane:
                 tuple(self._vm_types),
                 strategy=table.strategy,
                 node_limit=node_limit,
-                jobs=jobs,
                 cache_dir=graph_cache_dir,
             )
             result = sweep_profile_pagerank(
@@ -257,13 +255,12 @@ def build_ec2_service(
     clock: Optional[Clock] = None,
     pool_size: Optional[int] = None,
     table_cache_dir: Optional[str] = None,
-    jobs: int = 1,
     shard_size: int = 4_096,
     **service_kwargs,
 ) -> PlacementService:
     """The paper's M3 fleet as a service (loadgen's default world)."""
     counts = counts if counts is not None else {"M3": 480}
-    table = sweep_table(table_cache_dir, jobs=jobs)
+    table = sweep_table(table_cache_dir)
     policy = PageRankVMPolicy(
         {table.shape: table},
         pool_size=pool_size,

@@ -289,11 +289,6 @@ class TestPrebuiltGraph:
         assert dict(first.items()) == dict(second.items())
         clear_cache_events()
 
-    def test_jobs_produce_identical_table(self, toy_shape, toy_vm_types):
-        serial = build_score_table(toy_shape, toy_vm_types)
-        parallel = build_score_table(toy_shape, toy_vm_types, jobs=2)
-        assert dict(serial.items()) == dict(parallel.items())
-
 
 class TestFreezeAndSharedContract:
     """The shared-artifact contract: frozen arrays, in-place laziness."""

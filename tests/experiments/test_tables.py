@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import graph_cache
 from repro.core.graph import SuccessorStrategy
 from repro.experiments.tables import (
     build_counts,
@@ -108,3 +109,32 @@ class TestBuildCounts:
         clear_memory_cache()
         score_tables_for([toy_shape], toy_vm_types, cache_dir=str(tmp_path))
         assert sum(build_counts().values()) == 0
+
+
+class TestBuilderVersionStamping:
+    """A graph-builder bump must miss the score-table caches too."""
+
+    def _bump(self, monkeypatch):
+        monkeypatch.setattr(
+            graph_cache, "BUILDER_CODE_VERSION",
+            graph_cache.BUILDER_CODE_VERSION + 1,
+        )
+
+    def test_builder_bump_changes_key(
+        self, toy_shape, toy_vm_types, monkeypatch
+    ):
+        args = (toy_shape, toy_vm_types, SuccessorStrategy.BALANCED, 0.85,
+                "forward")
+        before = table_cache_key(*args)
+        self._bump(monkeypatch)
+        assert table_cache_key(*args) != before
+
+    def test_builder_bump_rebuilds_instead_of_loading(
+        self, toy_shape, toy_vm_types, tmp_path, monkeypatch
+    ):
+        score_tables_for([toy_shape], toy_vm_types, cache_dir=str(tmp_path))
+        clear_memory_cache()
+        self._bump(monkeypatch)
+        score_tables_for([toy_shape], toy_vm_types, cache_dir=str(tmp_path))
+        assert sum(build_counts().values()) == 1
+        assert len(list(tmp_path.glob("score_table_*.json"))) == 2

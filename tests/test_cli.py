@@ -42,18 +42,16 @@ class TestParser:
         assert args.faults is None
         assert args.checkpoint is None
         assert args.resume is False
-        assert args.graph_jobs == 1
 
     def test_graph_build_flags(self):
         args = build_parser().parse_args([
-            "graph", "build", "--pm", "M3", "C3", "--jobs", "4",
+            "graph", "build", "--pm", "M3", "C3",
             "--graph-cache", "cache-dir", "--strategy", "all",
             "--mode", "full", "--node-limit", "5000",
         ])
         assert args.command == "graph"
         assert args.graph_command == "build"
         assert args.pm == ["M3", "C3"]
-        assert args.jobs == 4
         assert args.graph_cache == "cache-dir"
         assert args.strategy == "all"
         assert args.mode == "full"
@@ -62,13 +60,20 @@ class TestParser:
     def test_graph_build_defaults(self):
         args = build_parser().parse_args(["graph", "build"])
         assert args.pm == ["M3"]
-        assert args.jobs == 1
         assert args.graph_cache is None
         assert args.strategy == "balanced"
 
     def test_graph_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["graph"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["graph", "build", "--jobs", "2"], ["simulate", "--graph-jobs", "2"]],
+    )
+    def test_no_graph_worker_count_flag(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
 
 class TestGraphCommand:
