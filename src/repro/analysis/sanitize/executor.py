@@ -425,7 +425,7 @@ def _scenario_leg(
         from repro.baselines import MinimumMigrationTimeSelector
         from repro.cluster.ec2 import (
             build_ec2_datacenter,
-            build_ec2_soa_datacenter,
+            build_ec2_object_datacenter,
         )
         from repro.cluster.simulation import CloudSimulation, SimulationConfig
         from repro.core.placement import PageRankVMPolicy
@@ -435,11 +435,11 @@ def _scenario_leg(
             int(scenario.n_pms * VMS_PER_PM), seed=scenario.seed
         )
         if backend == "soa":
-            datacenter = build_ec2_soa_datacenter(
+            datacenter = build_ec2_datacenter(
                 {"M3": scenario.n_pms}, shard_size=scenario.shard_size
             )
         else:
-            datacenter = build_ec2_datacenter({"M3": scenario.n_pms})
+            datacenter = build_ec2_object_datacenter({"M3": scenario.n_pms})
         policy = PageRankVMPolicy({table.shape: table})
         if vector_scores is not None:
             policy.vector_class_scores = vector_scores

@@ -30,6 +30,7 @@ from repro.cluster.ec2 import (
     EC2_PM_TYPES,
     EC2_VM_TYPES,
     build_ec2_datacenter,
+    build_ec2_object_datacenter,
     build_ec2_soa_datacenter,
     ec2_pm_shape,
     ec2_vm_type,
@@ -57,5 +58,6 @@ __all__ = [
     "ec2_vm_type",
     "ec2_pm_shape",
     "build_ec2_datacenter",
+    "build_ec2_object_datacenter",
     "build_ec2_soa_datacenter",
 ]

@@ -7,12 +7,15 @@ rounding distortion enters the profiles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.datacenter import Datacenter
 from repro.cluster.machine import PhysicalMachine
 from repro.core.profile import MachineShape, Quantizer, ResourceGroup, VMType
 from repro.util.validation import require
+
+if TYPE_CHECKING:
+    from repro.core.soa import SoADatacenter
 
 __all__ = [
     "CPU_QUANTUM_GHZ",
@@ -25,6 +28,7 @@ __all__ = [
     "ec2_vm_type",
     "ec2_pm_shape",
     "build_ec2_datacenter",
+    "build_ec2_object_datacenter",
     "build_ec2_soa_datacenter",
 ]
 
@@ -118,44 +122,56 @@ EC2_PM_TYPES: Dict[str, MachineShape] = {
 }
 
 
-def build_ec2_datacenter(counts: Mapping[str, int]) -> Datacenter:
-    """A datacenter of Table II machines.
+def build_ec2_datacenter(
+    counts: Mapping[str, int], shard_size: Optional[int] = None
+) -> "SoADatacenter":
+    """A columnar (struct-of-arrays) datacenter of Table II machines.
+
+    This is the fleet every experiment cell, the scale sweep and the
+    placement service run on (:class:`repro.core.soa.SoADatacenter`).
+    PMs get ids ``0..n-1`` in ``counts`` order, as in
+    :func:`build_ec2_object_datacenter`.
 
     Args:
         counts: PM type name -> how many (e.g. ``{"M3": 400, "C3": 100}``).
+        shard_size: rows per columnar shard (None: ``DEFAULT_SHARD_SIZE``).
     """
-    require(len(counts) > 0, "counts must not be empty")
-    machines: List[PhysicalMachine] = []
-    pm_id = 0
-    for name, count in counts.items():
-        require(count >= 0, f"count for {name!r} must be non-negative")
-        shape = ec2_pm_shape(name)
-        for _ in range(count):
-            machines.append(PhysicalMachine(pm_id, shape, type_name=name))
-            pm_id += 1
-    return Datacenter(machines)
+    # Imported here: repro.core.soa imports repro.cluster modules.
+    from repro.core.soa import DEFAULT_SHARD_SIZE, SoADatacenter
+
+    return SoADatacenter(
+        _fleet_specs(counts),
+        shard_size=DEFAULT_SHARD_SIZE if shard_size is None else shard_size,
+    )
 
 
-def build_ec2_soa_datacenter(counts: Mapping[str, int], shard_size: int = 4096):
-    """A columnar (struct-of-arrays) datacenter of Table II machines.
+#: The same builder, for callers that name the substrate (``serve.fleet``,
+#: the ``perfbench`` workloads).
+build_ec2_soa_datacenter = build_ec2_datacenter
 
-    Same inventory and pm_id assignment as :func:`build_ec2_datacenter`,
-    backed by :class:`repro.core.soa.SoADatacenter` — the substrate used
-    by the scale sweep (100k PMs / 1M VMs).
+
+def build_ec2_object_datacenter(counts: Mapping[str, int]) -> Datacenter:
+    """The same fleet on the object substrate (one PhysicalMachine per PM).
+
+    A reference only: the sweep's identity twin and scan anchor and the
+    sanitizer's object legs compare the columnar fleet against it.
 
     Args:
         counts: PM type name -> how many.
-        shard_size: rows per columnar shard.
     """
-    from repro.core.soa import SoADatacenter
+    return Datacenter([
+        PhysicalMachine(pm_id, shape, type_name=name)
+        for pm_id, shape, name in _fleet_specs(counts)
+    ])
 
+
+def _fleet_specs(counts: Mapping[str, int]) -> List[Tuple[int, MachineShape, str]]:
+    """``(pm_id, shape, type name)`` per PM, ids dense in ``counts`` order."""
     require(len(counts) > 0, "counts must not be empty")
     specs: List[Tuple[int, MachineShape, str]] = []
-    pm_id = 0
     for name, count in counts.items():
         require(count >= 0, f"count for {name!r} must be non-negative")
         shape = ec2_pm_shape(name)
         for _ in range(count):
-            specs.append((pm_id, shape, name))
-            pm_id += 1
-    return SoADatacenter(specs, shard_size=shard_size)
+            specs.append((len(specs), shape, name))
+    return specs

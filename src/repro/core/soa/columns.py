@@ -246,9 +246,15 @@ class ShardColumns:
 
 
 class _ArrayTraceGroup:
-    """ArrayTraces sharing (n_samples, interval, cycle): one sample matrix."""
+    """ArrayTraces sharing (n_samples, interval, cycle): one sample matrix.
 
-    __slots__ = ("slots", "samples", "interval", "cycle", "matrix", "slot_arr")
+    The matrix holds one row per *distinct* sample array: slots whose
+    traces share an array (a trace pool hands the same trace to several
+    VMs) share a row, and ``row_of_slot`` maps each slot to it.
+    """
+
+    __slots__ = ("slots", "samples", "interval", "cycle", "matrix",
+                 "slot_arr", "row_of_slot")
 
     def __init__(self, interval: float, cycle: bool) -> None:
         self.interval = interval
@@ -257,17 +263,29 @@ class _ArrayTraceGroup:
         self.samples: List[np.ndarray] = []
         self.matrix: Optional[np.ndarray] = None
         self.slot_arr: Optional[np.ndarray] = None
+        self.row_of_slot: Optional[np.ndarray] = None
 
     def add(self, slot: int, samples: np.ndarray) -> None:
         self.slots.append(slot)
         self.samples.append(samples)
         self.matrix = None
 
-    def materialize(self) -> Tuple[np.ndarray, np.ndarray]:
+    def materialize(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(slots, row of each slot, matrix of distinct sample rows)``."""
         if self.matrix is None:
-            self.matrix = np.vstack(self.samples)
+            # ``samples`` keeps every array alive, so equal ids mean the
+            # same array.  Rows come in id order (np.unique sorts); the
+            # order never changes a gathered value.
+            ids = np.fromiter(
+                (id(samples) for samples in self.samples),
+                dtype=np.uint64, count=len(self.samples),
+            )
+            _, first, self.row_of_slot = np.unique(
+                ids, return_index=True, return_inverse=True
+            )
+            self.matrix = np.vstack([self.samples[i] for i in first])
             self.slot_arr = np.asarray(self.slots, dtype=np.intp)
-        return self.slot_arr, self.matrix
+        return self.slot_arr, self.row_of_slot, self.matrix
 
 
 class TraceColumns:
@@ -339,8 +357,8 @@ class TraceColumns:
                 index %= n_samples
             else:
                 index = min(index, n_samples - 1)
-            slot_arr, matrix = group.materialize()
-            out[slot_arr] = matrix[:, index]
+            slot_arr, row_of_slot, matrix = group.materialize()
+            out[slot_arr] = matrix[row_of_slot, index]
         for slot, trace in self._fallback.items():
             out[slot] = trace.utilization_at(time_s)
         return out

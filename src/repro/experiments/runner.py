@@ -153,6 +153,14 @@ def run_single(
 ) -> SimulationResult:
     """One (policy, repetition) simulation run.
 
+    The cell's fleet comes from :func:`repro.cluster.ec2.
+    build_ec2_datacenter`, so it runs on the columnar substrate
+    (:class:`repro.core.soa.SoADatacenter`): the columnar monitor tick,
+    the row-state transition table and the usage-class index.  The
+    object substrate makes the same decisions (see
+    ``tests/experiments/test_runner_substrate.py``) and is kept as a
+    reference only.
+
     Args:
         audit: when True, the datacenter's final allocation state and
             the reported metrics are replayed against the MIP

@@ -108,11 +108,11 @@ def measure_scan_anchor(
     table: ScoreTable, n_pms: int, duration_s: float, workload_seed: int = 0
 ) -> float:
     """Wall time of the scan path (``fast_path=False``) at one size."""
-    from repro.cluster.ec2 import build_ec2_datacenter
+    from repro.cluster.ec2 import build_ec2_object_datacenter
 
     vms = sweep_workload(int(n_pms * VMS_PER_PM), seed=workload_seed)
     start = time.perf_counter()
-    datacenter = build_ec2_datacenter({"M3": n_pms})
+    datacenter = build_ec2_object_datacenter({"M3": n_pms})
     _simulate(datacenter, table, vms, duration_s, fast_path=False)
     return time.perf_counter() - start
 
@@ -137,13 +137,16 @@ def run_point(
             a sweep whose substrates disagree measures nothing.
     """
     require(n_pms > 0, f"n_pms must be positive, got {n_pms}")
-    from repro.cluster.ec2 import build_ec2_datacenter, build_ec2_soa_datacenter
+    from repro.cluster.ec2 import (
+        build_ec2_datacenter,
+        build_ec2_object_datacenter,
+    )
 
     n_vms = int(n_pms * VMS_PER_PM)
     vms = sweep_workload(n_vms, seed=workload_seed)
 
     start = time.perf_counter()
-    soa_dc = build_ec2_soa_datacenter({"M3": n_pms}, shard_size=shard_size)
+    soa_dc = build_ec2_datacenter({"M3": n_pms}, shard_size=shard_size)
     soa_result = _simulate(soa_dc, table, vms, duration_s)
     soa_wall = time.perf_counter() - start
 
@@ -161,7 +164,7 @@ def run_point(
     }
     if check_identity:
         start = time.perf_counter()
-        object_dc = build_ec2_datacenter({"M3": n_pms})
+        object_dc = build_ec2_object_datacenter({"M3": n_pms})
         object_result = _simulate(object_dc, table, vms, duration_s)
         point["object_wall_s"] = time.perf_counter() - start
         mismatches = [

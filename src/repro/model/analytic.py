@@ -105,15 +105,12 @@ def solution_from_policy(
     "no solution" branch of Algorithm 2).  Used to measure heuristic
     optimality gaps against :class:`repro.model.branch_bound.BranchAndBound`.
     """
-    from repro.cluster.datacenter import Datacenter
-    from repro.cluster.machine import PhysicalMachine
     from repro.cluster.vm import VirtualMachine
+    from repro.core.soa import SoADatacenter
 
-    machines = [
-        PhysicalMachine(pm_id=j, shape=shape, type_name=f"pm{j}")
-        for j, shape in enumerate(instance.pms)
-    ]
-    datacenter = Datacenter(machines)
+    datacenter = SoADatacenter(
+        [(j, shape, f"pm{j}") for j, shape in enumerate(instance.pms)]
+    )
     assignments: Dict[int, Tuple[int, Placement]] = {}
     requests = [
         VirtualMachine(vm_id=i, vm_type=vm) for i, vm in enumerate(instance.vms)

@@ -7,6 +7,7 @@ loaded real traces) and hands out a random trace per VM, reproducibly.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -32,6 +33,10 @@ class TracePool:
         rng: randomness for the assignment.
         population: virtual population size when ``source`` is a
             synthesizer (ignored for sequences).
+
+    A synthesizer's ``trace(index)`` is a pure function of the index, so
+    the pool memoizes it: VMs that draw the same index share one trace
+    object (and so one sample array) instead of each holding a copy.
     """
 
     def __init__(
@@ -43,7 +48,7 @@ class TracePool:
         self._rng = rng
         if hasattr(source, "trace") and callable(source.trace):
             require(population > 0, "population must be positive")
-            self._get = source.trace
+            self._get = functools.cache(source.trace)
             self._size = population
         else:
             traces = list(source)

@@ -7,6 +7,7 @@ their transition table, rebuild/epoch invalidation of the policy memo
 (the LRU-vs-bulk-rebuild contract), and the I2 column audit.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.invariants import audit_datacenter
@@ -257,3 +258,55 @@ class TestColumnAudit:
         dc._rows[pos] = dc.transitions.state(0, toy_shape.empty_usage())
         problems = dc.check_columns()
         assert problems and "row state" in problems[0]
+
+
+class TestSharedTraceColumns:
+    """Traces handed to several VMs are stored once in the sample matrix."""
+
+    def registered(self):
+        from repro.core.soa.columns import TraceColumns
+        from repro.traces.base import ArrayTrace
+
+        rng = np.random.default_rng(5)
+        distinct = [ArrayTrace(rng.uniform(0, 1, 12), 300.0) for _ in range(4)]
+        # 30 VMs over 4 shared traces, plus one 7-sample trace (its own
+        # group) and a constant one.
+        traces = [distinct[int(i)] for i in rng.integers(0, 4, size=30)]
+        traces += [ArrayTrace(rng.uniform(0, 1, 7), 60.0), ConstantTrace(0.4)]
+        columns = TraceColumns()
+        for vm_id, trace in enumerate(traces):
+            columns.register(vm_id, trace)
+        return columns, traces, distinct
+
+    def test_fractions_equal_each_trace_bit_for_bit(self):
+        columns, traces, _ = self.registered()
+        for time_s in (0.0, 299.9, 300.0, 1234.5, 3600.0, 86_399.0):
+            got = columns.fractions(time_s)
+            want = np.array([t.utilization_at(time_s) for t in traces])
+            assert got.tobytes() == want.tobytes(), time_s
+
+    def test_one_matrix_row_per_distinct_sample_array(self):
+        columns, traces, _ = self.registered()
+        columns.fractions(0.0)
+        group = columns._array_groups[(12, 300.0, True)]
+        slots, rows, matrix = group.materialize()
+        used = {id(t.samples) for t in traces[:30]}
+        assert matrix.shape == (len(used), 12)
+        for slot, row in zip(slots, rows):
+            assert matrix[row].tobytes() == traces[slot].samples.tobytes()
+
+    def test_a_later_registration_rebuilds_the_matrix(self):
+        from repro.traces.base import ArrayTrace
+
+        columns, traces, distinct = self.registered()
+        columns.fractions(0.0)
+        fresh = ArrayTrace(np.full(12, 0.25), 300.0)
+        traces += [distinct[0], fresh]
+        for vm_id in (len(traces) - 2, len(traces) - 1):
+            columns.register(vm_id, traces[vm_id])
+        got = columns.fractions(600.0)
+        want = np.array([t.utilization_at(600.0) for t in traces])
+        assert got.tobytes() == want.tobytes()
+        _, _, matrix = columns._array_groups[(12, 300.0, True)].materialize()
+        grouped = [t for t in traces if isinstance(t, ArrayTrace) and len(t) == 12]
+        assert matrix.shape[0] == len({id(t.samples) for t in grouped})

@@ -145,7 +145,9 @@ class TestAuditHook:
 
         def corrupting_run(self, vms):
             result = original(self, vms)
-            self._dc.machines[0]._usage[0][0] += 1  # break conservation
+            # The cell's fleet is columnar: bump one committed-usage cell
+            # so the usage column no longer sums the allocation records.
+            self._dc.shards[0].usage[0, 0] += 1
             return result
 
         monkeypatch.setattr(CloudSimulation, "run", corrupting_run)
@@ -154,7 +156,7 @@ class TestAuditHook:
         # ...with it, the worker rejects the cell, naming the constraint.
         with pytest.raises(AuditError) as excinfo:
             run_single(small_config(), "FF", 0, audit=True)
-        assert "C2" in excinfo.value.report.constraint_ids()
+        assert "I2" in excinfo.value.report.constraint_ids()
 
 
 class TestRetryBackoffJitter:

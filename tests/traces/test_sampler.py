@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.traces.base import ConstantTrace
+from repro.traces.base import ArrayTrace, ConstantTrace
 from repro.traces.sampler import TracePool
 from repro.util.rng import RngFactory
 from repro.util.validation import ValidationError
@@ -48,6 +48,27 @@ class TestSynthesizerSource:
                 np.random.default_rng(0),
                 population=0,
             )
+
+    def test_repeated_index_returns_the_same_trace(self):
+        class Counting:
+            """Synthesizer whose trace ``i`` holds the single sample i/10."""
+
+            def __init__(self):
+                self.calls = []
+
+            def trace(self, index):
+                self.calls.append(index)
+                return ArrayTrace([index / 10], 300.0)
+
+        source = Counting()
+        pool = TracePool(source, np.random.default_rng(0), population=5)
+        drawn = pool.sample_many(40)
+        # Each index is synthesized once, however often it is drawn...
+        assert len(source.calls) == len(set(source.calls)) <= 5
+        # ...and every draw of it returns that one trace object.
+        first = {}
+        for trace in drawn:
+            assert first.setdefault(trace.mean(), trace) is trace
 
     def test_deterministic_with_seeded_rng(self):
         traces = [ConstantTrace(v / 10) for v in range(10)]
